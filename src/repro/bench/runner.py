@@ -425,15 +425,15 @@ def _run_service(scenario: Scenario, cells,
     stats = broker.stats
     service_block = {
         # Deterministic under the paused-admission protocol above.
-        "requests": stats.requests,
+        "requests": stats["requests"],
         "unique_cells": len(cells),
-        "coalesced": stats.coalesced,
-        "shed": stats.shed,
-        "degraded": stats.degraded,
-        "executions": stats.executions,
+        "coalesced": stats["coalesced"],
+        "shed": stats["shed"],
+        "degraded": stats["degraded"],
+        "executions": stats["executions"],
         "bit_identical": bit_identical,
         # Timing (host-dependent, tolerance-compared).
-        "requests_per_sec": stats.requests / max(wall_ms / 1e3, 1e-9),
+        "requests_per_sec": stats["requests"] / max(wall_ms / 1e3, 1e-9),
         "latency_ms_p50": _percentile(all_latencies, 0.5),
         "latency_ms_p95": _percentile(all_latencies, 0.95),
     }

@@ -124,6 +124,10 @@ def seed_trace(key: str, trace: KernelTrace) -> None:
 def _gpu_by_name(gpu: "str | GPUConfig") -> GPUConfig:
     if isinstance(gpu, GPUConfig):
         return gpu
+    if gpu not in SIMULATED_GPUS:
+        raise KeyError(
+            f"unknown GPU {gpu!r}; choose from {sorted(SIMULATED_GPUS)}"
+        )
     return SIMULATED_GPUS[gpu]
 
 

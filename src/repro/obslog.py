@@ -179,9 +179,10 @@ def read_events(path) -> list[dict]:
     """Parse a JSONL obslog back into event dicts (skipping torn lines).
 
     A line a concurrent writer tore (no trailing newline at EOF after a
-    kill) fails to parse; it is dropped rather than failing the reader.
-    A missing file reads as an empty log -- a run that emitted nothing
-    simply never created its sink.
+    kill) is dropped rather than failing the reader -- even when the
+    part that landed happens to parse, since every emit ends its single
+    write with the newline.  A missing file reads as an empty log -- a
+    run that emitted nothing simply never created its sink.
     """
     events = []
     try:
@@ -190,6 +191,8 @@ def read_events(path) -> list[dict]:
         return events
     with handle:
         for line in handle:
+            if not line.endswith("\n"):
+                continue
             line = line.strip()
             if not line:
                 continue

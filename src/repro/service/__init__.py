@@ -6,10 +6,14 @@ package turns them into a *long-running* service:
 
 * :mod:`repro.service.request`    -- typed requests, responses and
   rejections (:class:`SimRequest`, :class:`ServiceResponse`,
-  :class:`RequestShed`, :class:`DeadlineExceeded`, :class:`RequestFailed`);
+  :class:`InvalidRequest`, :class:`RequestShed`,
+  :class:`DeadlineExceeded`, :class:`RequestFailed`);
 * :mod:`repro.service.broker`     -- admission control, request
   coalescing, deadline propagation, graceful degradation
   (:class:`Broker`);
+* :mod:`repro.service.accounting` -- the outcome table behind the
+  status counters, metric families and ``svc.*`` events
+  (:class:`Recorder`);
 * :mod:`repro.service.supervisor` -- pool supervision with a
   circuit breaker and health probes (:class:`PoolSupervisor`,
   :class:`CircuitBreaker`);
@@ -17,16 +21,16 @@ package turns them into a *long-running* service:
   JSON-lines daemon and its client (:class:`ServiceDaemon`,
   :func:`call`).
 
-Everything the service persists flows through writer sites the
-ARC009-012 process-safety model already certifies (atomic-rename cache
-entries, O_APPEND journal and obslog lines); the service layer itself
-opens no shared file.
+The service layer itself opens no shared file: everything it persists
+flows through writer sites the ARC009-012 process-safety model
+certifies.
 """
 
-from repro.service.broker import Broker, BrokerStats
+from repro.service.broker import Broker
 from repro.service.daemon import ServiceDaemon, call, default_socket_path
 from repro.service.request import (
     DeadlineExceeded,
+    InvalidRequest,
     RequestFailed,
     RequestShed,
     ServiceError,
@@ -37,9 +41,9 @@ from repro.service.supervisor import CircuitBreaker, PoolSupervisor
 
 __all__ = [
     "Broker",
-    "BrokerStats",
     "CircuitBreaker",
     "DeadlineExceeded",
+    "InvalidRequest",
     "PoolSupervisor",
     "RequestFailed",
     "RequestShed",

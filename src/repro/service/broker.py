@@ -1,42 +1,37 @@
 """The request broker: admission control, coalescing, degradation.
 
-One :class:`Broker` fronts one persistent spawn worker pool with the
-robustness core of the simulation service:
+One :class:`Broker` fronts one persistent spawn worker pool:
 
-* **fingerprinting** -- every request is content-addressed with the PR 1
+* **fingerprinting** -- requests are content-addressed with the disk
   cache key (:func:`~repro.experiments.diskcache.result_key`), so "the
   same simulation" is a fact about bytes, not request identity;
-* **coalescing** -- duplicate in-flight requests attach a waiter to the
-  existing execution instead of queueing again; the one result fans out
-  to every waiter.  Requests for keys that already completed this
-  session are answered from the in-memory memo without queueing at all;
+* **coalescing** -- a duplicate of an in-flight request attaches a
+  waiter to that execution, whose one result fans out to every waiter;
+  keys already completed this session are answered from the memo;
 * **admission control** -- new work enters a bounded queue.  When it is
-  saturated (or a ``queue-full`` fault says to pretend it is) the
-  request is *shed* with a typed :class:`RequestShed` -- unless
-  degradation is enabled and an engine-mismatched result for the same
-  logical request (:func:`~repro.experiments.diskcache.logical_key`)
-  exists, in which case that stale result is served with a warning;
-* **deadline propagation** -- a request's remaining budget clamps the
-  per-attempt cell timeout
-  (:meth:`~repro.experiments.resilience.RetryPolicy.clamped`) and
-  expires the request typed, whether the time went to queueing or
-  execution;
-* **supervised execution** -- pool-level failures (crash, timeout) are
-  retried with the PR 3 deterministic backoff, reported to the
-  :class:`~repro.service.supervisor.PoolSupervisor` (whose breaker may
-  take the pool away), recovered from the session journal + disk cache
-  where possible, and degraded to in-process serial execution when the
-  breaker is open or retries are exhausted.  Recovery never changes
-  *what* is computed, so responses stay bit-identical to serial runs.
+  saturated (or a ``queue-full`` fault says so) the request is *shed*
+  with a typed :class:`RequestShed`, unless degradation is on and an
+  engine-mismatched result for the same logical request
+  (:func:`~repro.experiments.diskcache.logical_key`) can be served
+  stale, with a warning;
+* **deadline propagation** -- the remaining budget clamps each
+  attempt's timeout (:meth:`~repro.experiments.resilience.RetryPolicy.
+  clamped`) and expires the request typed, in the queue or executing;
+* **supervised execution** -- pool crashes and timeouts are retried
+  with deterministic backoff, reported to the :class:`~repro.service.
+  supervisor.PoolSupervisor` (whose breaker may take the pool away),
+  recovered from the session journal + disk cache where possible, and
+  degraded to in-process serial execution when the breaker is open or
+  retries run out.  No path changes *what* is computed.
 
-Process-safety (ARC009-012) shapes the I/O: the broker itself performs
-**no direct writes** to any shared file.  Results reach the disk cache
-through the worker's existing atomic-rename writer, completions reach
-the session journal through :class:`~repro.experiments.manifest.
-RunManifest`'s single ``O_APPEND`` write, and telemetry flows through
-:func:`repro.obslog.emit` -- all writer sites that the static
-process-safety model already proves sound, so the runtime I/O sanitizer
-observes nothing new when the daemon runs under ``REPRO_SANITIZE=1``.
+Every outcome is counted once, through the
+:class:`~repro.service.accounting.Recorder`.  The broker performs **no
+direct writes** to any shared file (ARC009-012): results reach the disk
+cache through the worker's atomic-rename writer, completions the
+session journal through :class:`~repro.experiments.manifest.
+RunManifest`'s single ``O_APPEND`` write, and events the obslog through
+:func:`repro.obslog.emit` -- writer sites the static process-safety
+model already proves sound.
 """
 
 from __future__ import annotations
@@ -51,15 +46,16 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
 
-from repro import obslog
 from repro.experiments import diskcache, faults, parallel, runner
 from repro.obs import metrics as obsmetrics
 from repro.obs.tracing import Span
 from repro.experiments.manifest import RunManifest
 from repro.experiments.resilience import RetryPolicy
 from repro.gpu import SimResult
+from repro.service.accounting import BREAKER_STATES, Recorder
 from repro.service.request import (
     DeadlineExceeded,
+    InvalidRequest,
     RequestFailed,
     RequestShed,
     ServiceError,
@@ -69,39 +65,7 @@ from repro.service.request import (
 from repro.service.supervisor import CircuitBreaker, PoolSupervisor
 from repro.trace.io import save_trace
 
-__all__ = ["Broker", "BrokerStats"]
-
-
-@dataclass
-class BrokerStats:
-    """Session counters, exposed verbatim by ``repro serve --status``."""
-
-    requests: int = 0
-    admitted: int = 0
-    coalesced: int = 0
-    memo_hits: int = 0
-    shed: int = 0
-    degraded: int = 0
-    deadline_misses: int = 0
-    executions: int = 0
-    failures: int = 0
-    journal_recoveries: int = 0
-    completed: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "admitted": self.admitted,
-            "coalesced": self.coalesced,
-            "memo_hits": self.memo_hits,
-            "shed": self.shed,
-            "degraded": self.degraded,
-            "deadline_misses": self.deadline_misses,
-            "executions": self.executions,
-            "failures": self.failures,
-            "journal_recoveries": self.journal_recoveries,
-            "completed": self.completed,
-        }
+__all__ = ["Broker"]
 
 
 @dataclass
@@ -163,7 +127,6 @@ class Broker:
         self._clock = clock
         self._paused = paused
         self._session = session if session is not None else f"pid{os.getpid()}"
-        self.stats = BrokerStats()
         self._started = False
         self._inflight: "dict[str, _Entry]" = {}
         self._results: "dict[str, SimResult]" = {}
@@ -173,92 +136,11 @@ class Broker:
         self._spooled: "set[str]" = set()
         self._journal: "RunManifest | None" = None
         self._journalled: "set[str]" = set()
-        self._t0 = self._clock()
-        #: Recent wall-clock span durations (ms) by span name, kept in
-        #: memory for the bench breakdown -- bounded so a long-lived
-        #: daemon cannot grow it without bound.
-        self.span_samples: "dict[str, list[float]]" = {}
-        self.metrics = (metrics if metrics is not None
-                        else obsmetrics.registry())
-        self._register_metrics()
-
-    def _register_metrics(self) -> None:
-        m = self.metrics
-        self._m_requests = m.counter(
-            "repro_service_requests_total", "Requests received")
-        self._m_admitted = m.counter(
-            "repro_service_admitted_total", "Requests admitted to queue")
-        self._m_coalesced = m.counter(
-            "repro_service_coalesced_total",
-            "Requests coalesced onto an in-flight execution")
-        self._m_memo = m.counter(
-            "repro_service_memo_hits_total",
-            "Requests answered from the session memo")
-        self._m_shed = m.counter(
-            "repro_service_shed_total", "Requests shed at admission")
-        self._m_degraded = m.counter(
-            "repro_service_degraded_total", "Degraded executions",
-            labelnames=("reason",))
-        self._m_deadline_miss = m.counter(
-            "repro_service_deadline_misses_total",
-            "Requests expired before completion")
-        self._m_executions = m.counter(
-            "repro_service_executions_total", "Pool attempt submissions")
-        self._m_failures = m.counter(
-            "repro_service_failures_total", "Failed attempts")
-        self._m_recoveries = m.counter(
-            "repro_service_journal_recoveries_total",
-            "Crash recoveries served from journal + disk cache")
-        self._m_completed = m.counter(
-            "repro_service_completed_total", "Completed executions",
-            labelnames=("source",))
-        self._m_attempts = m.counter(
-            "repro_service_attempts_total", "Attempt outcomes",
-            labelnames=("outcome",))
-        self._m_queue_depth = m.gauge(
-            "repro_service_queue_depth", "Configured queue capacity")
-        self._m_queue_size = m.gauge(
-            "repro_service_queue_size", "Live queue occupancy")
-        self._m_inflight = m.gauge(
-            "repro_service_inflight", "In-flight unique executions")
-        self._m_deadline_budget = m.histogram(
-            "repro_service_deadline_budget_seconds",
-            "Deadline budget declared at admission")
-        self._m_latency = m.histogram(
-            "repro_service_request_latency_seconds",
-            "Admission-to-response latency")
-        self._m_queue_wait = m.histogram(
-            "repro_service_queue_wait_seconds",
-            "Enqueue-to-dispatch wait")
-        self._m_execute = m.histogram(
-            "repro_service_execute_seconds",
-            "Dispatch-to-completion execution time")
-        self._m_queue_depth.set(self.queue_depth)
-
-    # ----------------------------------------------------------------- #
-    # Telemetry plumbing
-    # ----------------------------------------------------------------- #
-
-    def emit_event(self, event: str, **fields) -> None:
-        """Emit one ``svc.*`` obslog event stamped with ``elapsed_ms``.
-
-        Every service event shares the broker's monotonic clock origin,
-        so post-mortem readers can order events without trusting
-        wall-clock ``ts`` across processes.
-        """
-        fields.setdefault(
-            "elapsed_ms", round((self._clock() - self._t0) * 1000.0, 3)
-        )
-        obslog.emit(event, **fields)
-
-    def _sample_span(self, name: str, dur_ms: float) -> None:
-        samples = self.span_samples.setdefault(name, [])
-        if len(samples) < 4096:
-            samples.append(dur_ms)
-
-    def _refresh_gauges(self) -> None:
-        self._m_queue_size.set(self._queue.qsize() if self._started else 0)
-        self._m_inflight.set(len(self._inflight))
+        #: The one accounting record: stats, metric families, events.
+        self.recorder = Recorder(metrics, clock)
+        self.metrics = self.recorder.registry
+        self.span_samples = self.recorder.span_samples
+        self.recorder.gauge("queue_depth", self.queue_depth)
 
     # ----------------------------------------------------------------- #
     # Lifecycle
@@ -293,8 +175,7 @@ class Broker:
             breaker=self._breaker,
             probe_timeout=self.probe_timeout,
             clock=self._clock,
-            emit=self.emit_event,
-            metrics=self.metrics,
+            recorder=self.recorder,
         )
         self._supervisor.start()
         # One thread suffices for serial degradation: it exists so an
@@ -316,10 +197,11 @@ class Broker:
             for _ in range(max(1, self.concurrency))
         ]
         self._started = True
-        self.emit_event("svc.start", jobs=self.jobs,
-                        queue_depth=self.queue_depth,
-                        concurrency=self.concurrency, session=self._session,
-                        degrade=self.degrade_enabled)
+        self.recorder.event("svc.start", jobs=self.jobs,
+                            queue_depth=self.queue_depth,
+                            concurrency=self.concurrency,
+                            session=self._session,
+                            degrade=self.degrade_enabled)
 
     async def stop(self, drain: bool = True) -> None:
         """Stop dispatchers and the pool; optionally drain queued work."""
@@ -337,13 +219,10 @@ class Broker:
             self._journal.discard()
         self._spool.cleanup()
         self._started = False
-        self.emit_event("svc.stop", **self.stats.as_dict())
-
-    def pause(self) -> None:
-        """Hold dispatchers off the queue (admission keeps running)."""
-        self._gate.clear()
+        self.recorder.event("svc.stop", **self.stats)
 
     def resume(self) -> None:
+        """Let dispatchers at the queue (after ``paused=True``)."""
         self._gate.set()
 
     # ----------------------------------------------------------------- #
@@ -366,8 +245,8 @@ class Broker:
         env at pool construction).  Tracing changes no control flow, so
         responses stay bit-identical to the tracing-off path.
 
-        Raises :class:`RequestShed`, :class:`DeadlineExceeded` or
-        :class:`RequestFailed`.
+        Raises :class:`InvalidRequest`, :class:`RequestShed`,
+        :class:`DeadlineExceeded` or :class:`RequestFailed`.
         """
         if not self._started:
             raise ServiceError("broker is not started")
@@ -375,16 +254,13 @@ class Broker:
                         role="broker")
         try:
             response = await self._submit(request, req_span)
-        except RequestShed:
-            req_span.end(outcome="shed")
-            raise
-        except DeadlineExceeded:
-            req_span.end(outcome="deadline")
+        except (InvalidRequest, RequestShed, DeadlineExceeded) as exc:
+            req_span.end(outcome=exc.kind)
             raise
         except ServiceError as exc:
             req_span.end(outcome="error", error=type(exc).__name__)
             raise
-        self._m_latency.observe(response.latency_ms / 1000.0)
+        self.recorder.observe("request_latency", response.latency_ms / 1000.0)
         response.trace_id = req_span.context.trace_id
         response.span_id = req_span.context.span_id
         extra = ({"exec_span_id": response.exec_span_id}
@@ -396,11 +272,22 @@ class Broker:
     async def _submit(self, request: SimRequest,
                       req_span: Span) -> ServiceResponse:
         admitted_at = self._clock()
-        config = runner._gpu_by_name(request.gpu)
+        try:
+            config = runner._gpu_by_name(request.gpu)
+            trace = runner.get_trace(request.workload)
+            strategy = runner.make_strategy(request.strategy)
+        except (KeyError, TypeError) as exc:
+            cell = faults.cell_id(request.workload,
+                                  getattr(request.gpu, "name", request.gpu),
+                                  request.strategy)
+            self.recorder.record("invalid", cell=cell, key=None,
+                                 deadline=request.deadline,
+                                 trace_id=req_span.context.trace_id)
+            detail = exc.args[0] if isinstance(exc, KeyError) else exc
+            raise InvalidRequest(
+                f"request for cell {cell} is invalid: {detail}") from None
         spec = parallel.CellSpec(request.workload, config, request.strategy)
         cell = spec.cell_id
-        trace = runner.get_trace(request.workload)
-        strategy = runner.make_strategy(request.strategy)
         # result_key hashes the engine fingerprint, whose source read
         # is process-wide memoized: only the first admission ever
         # touches disk, every later call is an in-memory hash.
@@ -408,66 +295,51 @@ class Broker:
         logical = diskcache.logical_key(config, trace, strategy)
         deadline = (None if request.deadline is None
                     else admitted_at + request.deadline)
-        self.stats.requests += 1
-        self._m_requests.inc()
         if request.deadline is not None:
-            self._m_deadline_budget.observe(request.deadline)
-        self.emit_event("svc.accept", cell=cell, key=key,
-                        deadline=request.deadline,
-                        trace_id=req_span.context.trace_id)
+            self.recorder.observe("deadline_budget", request.deadline)
+        self.recorder.record("request", cell=cell, key=key,
+                             deadline=request.deadline,
+                             trace_id=req_span.context.trace_id)
 
         memo = self._results.get(key)
         if memo is not None:
-            self.stats.memo_hits += 1
-            self._m_memo.inc()
+            self.recorder.record("memo_hit")
             return self._response(cell, key, memo, "memo", admitted_at)
 
         entry = self._inflight.get(key)
-        if entry is not None:
-            waiter = self._loop.create_future()
-            entry.waiters.append(waiter)
-            entry.deadlines.append(deadline)
-            self.stats.coalesced += 1
-            self._m_coalesced.inc()
-            self.emit_event("svc.coalesce", cell=cell, key=key,
-                            waiters=len(entry.waiters))
-            return await self._await_waiter(
-                waiter, cell, key, request.deadline, deadline, admitted_at,
-                coalesced=True,
-            )
-
-        arrival = self._arrivals.get(cell, 0) + 1
-        self._arrivals[cell] = arrival
-        # Deliberate chaos hook: a planned loop-block fault sleeps on
-        # the loop thread right here, so the suite can prove the static
-        # rule and the runtime loop sanitizer both catch the stall.
-        faults.on_admission(cell, arrival)  # arclint: disable=ARC013
-        saturated = (
-            self._queue.full() or faults.planned_queue_full(cell, arrival)
-        )
-        if saturated:
-            return self._shed_or_degrade(
-                cell, key, logical, admitted_at, deadline
-            )
-
-        self._ensure_spooled(request.workload, trace)
-        entry = _Entry(spec=spec, cell=cell, key=key, logical=logical)
-        entry.ctx = req_span.context
-        entry.queue_span = Span("svc.queue_wait", parent=req_span.context,
-                                role="broker", cell=cell, key=key)
+        coalesced = entry is not None
+        if not coalesced:
+            arrival = self._arrivals.get(cell, 0) + 1
+            self._arrivals[cell] = arrival
+            # Deliberate chaos hook: a planned loop-block fault sleeps on
+            # the loop thread right here, so the suite can prove the static
+            # rule and the runtime loop sanitizer both catch the stall.
+            faults.on_admission(cell, arrival)  # arclint: disable=ARC013
+            if (self._queue.full()
+                    or faults.planned_queue_full(cell, arrival)):
+                return self._shed_or_degrade(
+                    cell, key, logical, admitted_at, deadline
+                )
+            self._ensure_spooled(request.workload, trace)
+            entry = _Entry(spec=spec, cell=cell, key=key, logical=logical)
+            entry.ctx = req_span.context
+            entry.queue_span = Span("svc.queue_wait",
+                                    parent=req_span.context,
+                                    role="broker", cell=cell, key=key)
+            self._inflight[key] = entry
+            # Cannot raise QueueFull: occupancy was checked above and no
+            # await happened since.
+            self._queue.put_nowait(entry)
+            self.recorder.record("admitted")
         waiter = self._loop.create_future()
         entry.waiters.append(waiter)
         entry.deadlines.append(deadline)
-        self._inflight[key] = entry
-        # Cannot raise QueueFull: occupancy was checked above and no
-        # await happened since.
-        self._queue.put_nowait(entry)
-        self.stats.admitted += 1
-        self._m_admitted.inc()
-        self._refresh_gauges()
+        if coalesced:
+            self.recorder.record("coalesced", cell=cell, key=key,
+                                 waiters=len(entry.waiters))
         return await self._await_waiter(
             waiter, cell, key, request.deadline, deadline, admitted_at,
-            coalesced=False,
+            coalesced,
         )
 
     def _shed_or_degrade(self, cell: str, key: str, logical: str,
@@ -476,31 +348,23 @@ class Broker:
         stale = self._stale.get(logical) if self.degrade_enabled else None
         if stale is not None:
             stale_key, result = stale
-            self.stats.degraded += 1
-            self._m_degraded.inc(reason="queue-full")
             warning = (
                 "served stale: queue saturated; result computed for an "
                 f"earlier engine fingerprint (key {stale_key[:12]}...)"
             )
-            self.emit_event("svc.degrade", cell=cell, key=key,
-                            reason="queue-full", stale_key=stale_key)
-            response = self._response(
-                cell, stale_key, result, "stale", admitted_at
-            )
-            response.stale = True
-            response.warning = warning
-            return response
-        self.stats.shed += 1
-        self._m_shed.inc()
+            self.recorder.record("degraded", {"reason": "queue-full"},
+                                 cell=cell, key=key, stale_key=stale_key)
+            return self._response(cell, stale_key, result, "stale",
+                                  admitted_at, stale=True, warning=warning)
         # Post-mortem correlation needs the state *at shed time*: the
         # live occupancy (queue_size; queue_depth is the configured
         # capacity) and how much of the request's budget was left.
         remaining = (None if deadline is None
                      else max(0.0, deadline - self._clock()))
-        self.emit_event("svc.shed", cell=cell, key=key,
-                        queue_depth=self.queue_depth,
-                        queue_size=self._queue.qsize(),
-                        deadline_remaining=remaining)
+        self.recorder.record("shed", cell=cell, key=key,
+                             queue_depth=self.queue_depth,
+                             queue_size=self._queue.qsize(),
+                             deadline_remaining=remaining)
         raise RequestShed(cell, self.queue_depth)
 
     async def _await_waiter(self, waiter, cell: str, key: str,
@@ -515,21 +379,23 @@ class Broker:
                 waiter, timeout
             )
         except asyncio.TimeoutError:
-            self.stats.deadline_misses += 1
-            self._m_deadline_miss.inc()
-            self.emit_event("svc.deadline", cell=cell, deadline=deadline_s)
+            self.recorder.record("deadline_miss", cell=cell,
+                                 deadline=deadline_s)
             raise DeadlineExceeded(cell, deadline_s) from None
-        response = self._response(cell, key, result, source, admitted_at)
-        response.coalesced = coalesced
-        response.exec_span_id = exec_span_id
-        return response
+        except DeadlineExceeded:
+            # Expired by the dispatcher before this waiter's own timer.
+            self.recorder.record("deadline_miss", cell=cell, in_queue=True)
+            raise
+        return self._response(cell, key, result, source, admitted_at,
+                              coalesced=coalesced, exec_span_id=exec_span_id)
 
     def _response(self, cell: str, key: str, result: SimResult,
-                  source: str, admitted_at: float) -> ServiceResponse:
+                  source: str, admitted_at: float,
+                  **fields) -> ServiceResponse:
         latency_ms = (self._clock() - admitted_at) * 1000.0
         return ServiceResponse(
             cell=cell, key=key, result=result, source=source,
-            latency_ms=latency_ms,
+            latency_ms=latency_ms, **fields,
         )
 
     def _ensure_spooled(self, workload: str, trace) -> None:
@@ -564,25 +430,19 @@ class Broker:
     async def _execute(self, entry: _Entry) -> None:
         if entry.queue_span is not None:
             wait_ms = entry.queue_span.end(queue_size=self._queue.qsize())
-            self._sample_span("svc.queue_wait", wait_ms)
-            self._m_queue_wait.observe(wait_ms / 1000.0)
+            self.recorder.observe_span("svc.queue_wait", wait_ms)
             entry.queue_span = None
         parent = entry.ctx
         # One execution span covers every attempt and fans out to every
         # coalesced waiter (its context rides the waiter result tuple).
         entry.exec_span = Span("svc.execute", parent=parent, role="broker",
                                cell=entry.cell, key=entry.key)
-        self._refresh_gauges()
-        last_error: "BaseException | str" = "no attempt ran"
         for attempt in range(1, self.policy.max_attempts + 1):
             deadline = entry.effective_deadline()
             remaining = (None if deadline is None
                          else deadline - self._clock())
             if remaining is not None and remaining <= 0:
-                self.stats.deadline_misses += 1
-                self._m_deadline_miss.inc()
-                self.emit_event("svc.deadline", cell=entry.cell,
-                                in_queue=True)
+                # Each waiter counts its own miss (_await_waiter).
                 self._fail(entry, DeadlineExceeded(entry.cell, None))
                 return
             policy = self.policy.clamped(remaining)
@@ -593,11 +453,10 @@ class Broker:
             pool = await self._supervisor.acquire()
             if pool is None:
                 attempt_span.end(outcome="breaker-open")
-                self._m_attempts.inc(outcome="breaker-open")
+                self.recorder.record("attempt", {"outcome": "breaker-open"})
                 await self._degrade_inproc(entry, attempt, "breaker-open")
                 return
-            self.stats.executions += 1
-            self._m_executions.inc()
+            self.recorder.record("execution")
             self._executions_by_key[entry.key] = (
                 self._executions_by_key.get(entry.key, 0) + 1
             )
@@ -614,72 +473,59 @@ class Broker:
             except asyncio.TimeoutError:
                 cell_future.cancel()
                 self._supervisor.fail("timeout")
-                last_error = f"attempt exceeded {policy.timeout:g}s"
                 outcome = "timeout"
+                last_error = f"attempt exceeded {policy.timeout:g}s"
             except asyncio.CancelledError:
                 if not cell_future.cancelled():
                     attempt_span.end(outcome="cancelled")
                     raise  # our own task was cancelled (shutdown)
                 # The pool was abandoned under us by another dispatcher's
                 # failure; treat like a crash of our own future.
-                if self._recover_from_journal(entry, attempt_span):
-                    return
-                last_error = "pool abandoned mid-flight"
-                outcome = "crash"
+                outcome, last_error = "crash", "pool abandoned mid-flight"
             except BrokenProcessPool as exc:
                 self._supervisor.fail("crash")
-                if self._recover_from_journal(entry, attempt_span):
-                    return
-                last_error = exc
-                outcome = "crash"
+                outcome, last_error = "crash", exc
             except Exception as exc:
+                last_error = exc
                 if cell_future is None:
                     # submit() failed before a future existed: the pool
                     # was abandoned by another dispatcher's failure
                     # ("cannot schedule new futures after shutdown") --
                     # a pool-level incident, not a cell failure.
                     self._supervisor.fail("crash")
-                    if self._recover_from_journal(entry, attempt_span):
-                        return
-                    last_error = exc
                     outcome = "crash"
                 else:
                     # Task-level error: the pool answered, so the
                     # breaker sees a healthy pool even though the cell
                     # failed.
                     self._supervisor.ok()
-                    last_error = exc
                     outcome = "error"
             else:
                 self._supervisor.ok()
                 attempt_span.end(outcome="ok")
-                self._m_attempts.inc(outcome="ok")
+                self.recorder.record("attempt", {"outcome": "ok"})
                 self._complete(entry, result, "worker")
                 return
-            self.stats.failures += 1
-            self._m_failures.inc()
+            self.recorder.record("failure", {"outcome": outcome},
+                                 cell=entry.cell, attempt=attempt,
+                                 error=repr(last_error))
+            if outcome == "crash" and self._recover_from_journal(
+                    entry, attempt_span):
+                return
             attempt_span.end(outcome=outcome)
-            self._m_attempts.inc(outcome=outcome)
-            self.emit_event("svc.attempt", cell=entry.cell, attempt=attempt,
-                            outcome=outcome, error=repr(last_error))
             if attempt < self.policy.max_attempts:
                 await asyncio.sleep(self.policy.delay(entry.key, attempt + 1))
         await self._degrade_inproc(
             entry, self.policy.max_attempts + 1, "retries-exhausted",
-            last_error,
         )
 
     async def _degrade_inproc(self, entry: _Entry, attempt: int,
-                              reason: str,
-                              last_error: "BaseException | str | None" = None,
-                              ) -> None:
+                              reason: str) -> None:
         """Serial in-process execution: the service's answer of last
         resort, mirroring the resilience layer's fallback (and the
         paper's own philosophy -- degrade, don't fail)."""
-        self.stats.degraded += 1
-        self._m_degraded.inc(reason=reason)
-        self.emit_event("svc.degrade", cell=entry.cell, reason=reason,
-                        attempt=attempt)
+        self.recorder.record("degraded", {"reason": reason},
+                             cell=entry.cell, attempt=attempt)
         try:
             result = await self._loop.run_in_executor(
                 self._inproc, parallel._fallback_spec, entry.spec, attempt
@@ -687,14 +533,14 @@ class Broker:
         except asyncio.CancelledError:
             raise
         except Exception as exc:
-            self.stats.failures += 1
-            self._m_failures.inc()
+            self.recorder.record("failure", {"outcome": "fallback-error"},
+                                 cell=entry.cell, attempt=attempt,
+                                 error=repr(exc))
             self._fail(entry, RequestFailed(entry.cell, exc))
             return
         self._complete(entry, result, "inproc")
 
-    def _recover_from_journal(self, entry: _Entry,
-                              attempt_span: "Span | None" = None) -> bool:
+    def _recover_from_journal(self, entry: _Entry, attempt_span: Span) -> bool:
         """After a pool crash, serve the entry from journal + disk cache
         instead of re-executing, when a previous completion wrote both."""
         if entry.key not in self._journalled and self._journal is not None:
@@ -711,13 +557,9 @@ class Broker:
         result = cache.load(entry.key)  # arclint: disable=ARC013
         if result is None:
             return False
-        self.stats.journal_recoveries += 1
-        self._m_recoveries.inc()
-        if attempt_span is not None:
-            attempt_span.end(outcome="crash", recovered=True)
-            self._m_attempts.inc(outcome="crash")
-        self.emit_event("svc.recover", cell=entry.cell, key=entry.key,
-                        source="journal")
+        attempt_span.end(outcome="crash", recovered=True)
+        self.recorder.record("journal_recovery", cell=entry.cell,
+                             key=entry.key, source="journal")
         self._complete(entry, result, "journal")
         return True
 
@@ -740,20 +582,17 @@ class Broker:
                 "strategy": entry.spec.strategy,
             })
             self._journalled.add(entry.key)
-        self.stats.completed += 1
-        self._m_completed.inc(source=source)
         exec_span_id = None
         if entry.exec_span is not None:
             exec_span_id = entry.exec_span.context.span_id
             exec_ms = entry.exec_span.end(
                 outcome="ok", source=source, fanout=len(entry.waiters)
             )
-            self._sample_span("svc.execute", exec_ms)
-            self._m_execute.observe(exec_ms / 1000.0)
+            self.recorder.observe_span("svc.execute", exec_ms)
             entry.exec_span = None
-        self._refresh_gauges()
-        self.emit_event("svc.finish", cell=entry.cell, key=entry.key,
-                        source=source, waiters=len(entry.waiters))
+        self.recorder.record("completed", {"source": source},
+                             cell=entry.cell, key=entry.key,
+                             waiters=len(entry.waiters))
         for waiter in entry.waiters:
             if not waiter.done():
                 waiter.set_result((result, source, exec_span_id))
@@ -769,10 +608,9 @@ class Broker:
                 fanout=len(entry.waiters),
             )
             entry.exec_span = None
-        self._refresh_gauges()
-        self.emit_event("svc.fail", cell=entry.cell, key=entry.key,
-                        kind=getattr(error, "kind", "error"),
-                        error=str(error))
+        self.recorder.event("svc.fail", cell=entry.cell, key=entry.key,
+                            kind=getattr(error, "kind", "error"),
+                            error=str(error))
         for waiter in entry.waiters:
             if not waiter.done():
                 waiter.set_exception(error)
@@ -780,6 +618,21 @@ class Broker:
     # ----------------------------------------------------------------- #
     # Introspection
     # ----------------------------------------------------------------- #
+
+    @property
+    def stats(self):
+        """Read-only view of this broker's outcome tally (the
+        ``snapshot()["stats"]`` block)."""
+        return self.recorder.stats
+
+    def _refresh_gauges(self) -> None:
+        """Project live state onto the gauges (done before every read)."""
+        self.recorder.gauge("queue_size",
+                            self._queue.qsize() if self._started else 0)
+        self.recorder.gauge("inflight", len(self._inflight))
+        if self._started:
+            self.recorder.gauge("breaker_state", BREAKER_STATES.index(
+                self._supervisor.breaker.state))
 
     def executions_for(self, key: str) -> int:
         """Pool submissions recorded for *key* (test/diagnostic hook)."""
@@ -795,7 +648,7 @@ class Broker:
             },
             "inflight": len(self._inflight),
             "memoized": len(self._results),
-            "stats": self.stats.as_dict(),
+            "stats": dict(self.stats),
         }
         if self._started:
             snap["supervisor"] = self._supervisor.snapshot()

@@ -6,7 +6,8 @@ protocol is one JSON object per line in each direction:
 
 * ``{"op": "simulate", "workload": ..., "gpu": ..., "strategy": ...,
   "deadline": ...}`` -> ``{"status": "ok", ...ServiceResponse fields}``
-  or ``{"status": "shed"|"deadline"|"failed"|"error", "error": ...}``
+  or ``{"status": "invalid"|"shed"|"deadline"|"failed"|"error",
+  "error": ...}``
   (the status string is the typed rejection's ``kind``, so clients can
   branch without parsing messages);
 * ``{"op": "status"}`` -> ``{"status": "ok", "snapshot": {...}}`` (the
@@ -27,13 +28,10 @@ session-scoped ``REPRO_TRACE`` root rides that path.
 
 A unix socket (not TCP) keeps the trust boundary at filesystem
 permissions, and line-delimited JSON keeps the protocol debuggable with
-``nc -U``.  The daemon installs the runtime sanitizers when
-``REPRO_SANITIZE=1`` is set, exactly like the test harness: the I/O
-shim (:mod:`repro.experiments.iosan`) cross-checks the static
-ARC009-012 write-protocol model, and the loop-stall shim
-(:mod:`repro.service.loopsan`) cross-checks the static ARC013
-coroutine-blocking model, with ``loop.slow_callback_duration`` armed to
-the same threshold.
+``nc -U``.  With ``REPRO_SANITIZE=1`` the daemon installs the runtime
+sanitizers like the test harness does: :mod:`repro.experiments.iosan`
+cross-checks the ARC009-012 write-protocol model and
+:mod:`repro.service.loopsan` the ARC013 coroutine-blocking model.
 """
 
 from __future__ import annotations
@@ -95,9 +93,10 @@ class ServiceDaemon:
                 self._handle_metrics, host="127.0.0.1",
                 port=self.metrics_port,
             )
-            self.broker.emit_event("svc.metrics.listen",
-                                   port=self.metrics_port)
-        self.broker.emit_event("svc.listen", socket=str(self.socket_path))
+            self.broker.recorder.event("svc.metrics.listen",
+                                       port=self.metrics_port)
+        self.broker.recorder.event("svc.listen",
+                                   socket=str(self.socket_path))
         if ready is not None:
             ready.set()
         # SIGINT/SIGTERM request the same clean drain as a shutdown op,
@@ -121,8 +120,8 @@ class ServiceDaemon:
                 await metrics_server.wait_closed()
             await self.broker.stop()
             self.socket_path.unlink(missing_ok=True)
-            self.broker.emit_event("svc.shutdown",
-                                   socket=str(self.socket_path))
+            self.broker.recorder.event("svc.shutdown",
+                                       socket=str(self.socket_path))
 
     def request_shutdown(self) -> None:
         self._stopping.set()
@@ -131,11 +130,14 @@ class ServiceDaemon:
                       writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                shutdown = False
+                # A line over the stream limit makes readline() raise
+                # ValueError: answered like any bad line, then closed.
+                close = True
                 try:
+                    line = await reader.readline()
+                    if not line:
+                        break
+                    close = False
                     payload = json.loads(line)
                     if not isinstance(payload, dict):
                         raise ValueError("payload must be a JSON object")
@@ -143,10 +145,10 @@ class ServiceDaemon:
                     reply = {"status": "error", "error": f"bad request: {exc}"}
                 else:
                     reply = await self._dispatch(payload)
-                    shutdown = payload.get("op") == "shutdown"
+                    close = payload.get("op") == "shutdown"
                 writer.write((json.dumps(reply) + "\n").encode("utf-8"))
                 await writer.drain()
-                if shutdown:
+                if close:
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -171,8 +173,8 @@ class ServiceDaemon:
             ).encode("ascii")
             writer.write(head + body)
             await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        except (ConnectionResetError, BrokenPipeError, ValueError):
+            pass  # ValueError: a header line over the stream limit
         finally:
             writer.close()
 
@@ -228,15 +230,8 @@ def call(payload: dict, socket_path: "str | Path | None" = None,
         sock.settimeout(timeout)
         sock.connect(str(path))
         sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
-        chunks = []
-        while True:
-            chunk = sock.recv(1 << 16)
-            if not chunk:
-                break
-            chunks.append(chunk)
-            if chunk.endswith(b"\n"):
-                break
-    raw = b"".join(chunks)
+        with sock.makefile("rb") as stream:
+            raw = stream.readline()
     if not raw:
         raise ServiceError("daemon closed the connection without replying")
     return json.loads(raw)

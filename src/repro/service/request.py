@@ -18,6 +18,7 @@ from repro.obs.tracing import SpanContext
 
 __all__ = [
     "DeadlineExceeded",
+    "InvalidRequest",
     "RequestFailed",
     "RequestShed",
     "ServiceError",
@@ -30,6 +31,12 @@ class ServiceError(RuntimeError):
     """Base of the broker's typed rejections (``kind`` names the class)."""
 
     kind = "error"
+
+
+class InvalidRequest(ServiceError):
+    """The request names an unknown workload, GPU or strategy."""
+
+    kind = "invalid"
 
 
 class RequestShed(ServiceError):

@@ -23,7 +23,8 @@ blindly respawning per failure turns one sick host into a crash loop.
 
 Time comes from an injectable ``clock`` so the chaos suite can walk the
 state machine deterministically.  State transitions are published as
-``svc.breaker`` obslog events.
+``svc.breaker`` obslog events; trips, restarts and probes are outcomes
+of the broker's :class:`~repro.service.accounting.Recorder`.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import asyncio
 import time
 from concurrent.futures.process import BrokenProcessPool
 
-from repro import obslog
 from repro.experiments.resilience import _abandon_pool
-from repro.obs import metrics as obsmetrics
+from repro.service.accounting import Recorder
 
 __all__ = ["CircuitBreaker", "PoolSupervisor"]
 
@@ -125,43 +125,19 @@ class PoolSupervisor:
     :meth:`ok`.
     """
 
-    #: Breaker state encoded for the ``repro_service_breaker_state``
-    #: gauge (Prometheus wants a number, not a string).
-    _STATE_CODES = {"closed": 0, "half-open": 1, "open": 2}
-
     def __init__(self, pool_factory, *, breaker: "CircuitBreaker | None" = None,
                  probe_timeout: float = 10.0, clock=time.monotonic,
-                 emit=None, metrics=None):
+                 recorder: "Recorder | None" = None):
         self._pool_factory = pool_factory
         self.breaker = breaker if breaker is not None else (
             CircuitBreaker(clock=clock)
         )
         self.probe_timeout = probe_timeout
-        self.restarts = 0
-        self.probes = 0
-        self.probe_failures = 0
         self._pool = None
         self._probe_lock = asyncio.Lock()
-        # The broker injects its elapsed_ms-stamping emitter so every
-        # svc.* event shares one timing field; standalone supervisors
-        # (unit tests) fall back to the raw obslog writer.
-        self._emit = emit if emit is not None else obslog.emit
-        if metrics is None:
-            metrics = obsmetrics.registry()
-        self._m_state = metrics.gauge(
-            "repro_service_breaker_state",
-            "Circuit breaker state (0 closed, 1 half-open, 2 open)")
-        self._m_trips = metrics.counter(
-            "repro_service_breaker_trips_total", "Breaker trips")
-        self._m_restarts = metrics.counter(
-            "repro_service_pool_restarts_total", "Worker pool respawns")
-        self._m_probes = metrics.counter(
-            "repro_service_pool_probes_total", "Half-open health probes",
-            labelnames=("outcome",))
-        self._m_state.set(self._STATE_CODES.get(self.breaker.state, 0))
-
-    def _set_state_gauge(self) -> None:
-        self._m_state.set(self._STATE_CODES.get(self.breaker.state, 0))
+        # Shared with the broker: one tally, registry and event clock.
+        self._recorder: Recorder = (recorder if recorder is not None
+                                    else Recorder(clock=clock))
 
     def start(self) -> None:
         if self._pool is None:
@@ -185,9 +161,8 @@ class PoolSupervisor:
             return await self._probe()
 
     async def _probe(self):
-        self.probes += 1
-        self._m_state.set(self._STATE_CODES["half-open"])
-        self._emit("svc.breaker", state="half-open", probes=self.probes)
+        self._recorder.event("svc.breaker", state="half-open",
+                             probes=self._recorder.count("probe") + 1)
         if self._pool is None:
             self._pool = self._pool_factory()
         probe_future = self._pool.submit(_pool_probe)
@@ -204,20 +179,17 @@ class PoolSupervisor:
                 return None
             raise
         self.breaker.record_success()
-        self._m_probes.inc(outcome="ok")
-        self._set_state_gauge()
-        self._emit("svc.breaker", state="closed", reason="probe-ok")
+        self._recorder.record("probe", {"outcome": "ok"})
+        self._recorder.event("svc.breaker", state="closed", reason="probe-ok")
         return self._pool
 
     def _probe_failed(self, error: str) -> None:
-        self.probe_failures += 1
         self._abandon()
         self.breaker.record_failure()
-        self._m_probes.inc(outcome="failed")
-        self._m_trips.inc()
-        self._set_state_gauge()
-        self._emit("svc.breaker", state="open", reason="probe-failed",
-                   error=error, backoff=self.breaker.open_backoff)
+        self._recorder.record("probe", {"outcome": "failed"})
+        self._recorder.record("breaker_trip", state="open",
+                              reason="probe-failed", error=error,
+                              backoff=self.breaker.open_backoff)
 
     def fail(self, reason: str) -> None:
         """A dispatcher observed a pool-level failure (crash/timeout).
@@ -233,10 +205,8 @@ class PoolSupervisor:
             # incident must not extend the backoff.
             return
         if self.breaker.record_failure():
-            self._m_trips.inc()
-            self._set_state_gauge()
-            self._emit(
-                "svc.breaker", state="open", reason=reason,
+            self._recorder.record(
+                "breaker_trip", state="open", reason=reason,
                 failures=self.breaker.threshold,
                 backoff=self.breaker.open_backoff,
             )
@@ -245,7 +215,6 @@ class PoolSupervisor:
 
     def ok(self) -> None:
         self.breaker.record_success()
-        self._set_state_gauge()
 
     def _abandon(self) -> None:
         if self._pool is not None:
@@ -253,9 +222,8 @@ class PoolSupervisor:
             self._pool = None
 
     def _respawn(self) -> None:
-        self.restarts += 1
-        self._m_restarts.inc()
-        self._emit("svc.pool.restart", restarts=self.restarts)
+        self._recorder.record("pool_restart",
+                              restarts=self._recorder.count("pool_restart") + 1)
         self._pool = self._pool_factory()
 
     def shutdown(self) -> None:
@@ -266,8 +234,8 @@ class PoolSupervisor:
     def snapshot(self) -> dict:
         return {
             "breaker": self.breaker.snapshot(),
-            "restarts": self.restarts,
-            "probes": self.probes,
-            "probe_failures": self.probe_failures,
+            "restarts": self._recorder.count("pool_restart"),
+            "probes": self._recorder.count("probe"),
+            "probe_failures": self._recorder.count("probe", outcome="failed"),
             "pool_live": self._pool is not None,
         }

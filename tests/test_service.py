@@ -46,6 +46,7 @@ from repro.service import (
     Broker,
     CircuitBreaker,
     DeadlineExceeded,
+    InvalidRequest,
     RequestShed,
     SimRequest,
 )
@@ -165,9 +166,9 @@ def test_coalescing_fans_out_single_execution(fake_registry, tmp_path,
     assert [r.result.to_dict() for r in responses] == [expected] * 6
     assert responses[0].coalesced is False
     assert all(r.coalesced for r in responses[1:])
-    assert broker.stats.admitted == 1
-    assert broker.stats.coalesced == 5
-    assert broker.stats.executions == 1
+    assert broker.stats["admitted"] == 1
+    assert broker.stats["coalesced"] == 5
+    assert broker.stats["executions"] == 1
     assert broker.executions_for(responses[0].key) == 1
     coalesce_events = events_named(obslog_sink, "svc.coalesce")
     assert len(coalesce_events) == 5
@@ -195,8 +196,8 @@ def test_completed_request_answers_from_memo(fake_registry, tmp_path):
     assert first.source == "worker"
     assert second.source == "memo"
     assert second.result.to_dict() == first.result.to_dict()
-    assert broker.stats.memo_hits == 1
-    assert broker.stats.executions == 1
+    assert broker.stats["memo_hits"] == 1
+    assert broker.stats["executions"] == 1
 
 
 # --------------------------------------------------------------------- #
@@ -229,8 +230,8 @@ def test_queue_full_fault_sheds_typed_then_readmits(fake_registry,
     response = asyncio.run(scenario(broker))
     assert response.result.to_dict() == truth[("S1", "3060-Sim",
                                                "baseline")]
-    assert broker.stats.shed == 1
-    assert broker.stats.admitted == 1
+    assert broker.stats["shed"] == 1
+    assert broker.stats["admitted"] == 1
     [shed_event] = events_named(obslog_sink, "svc.shed")
     assert shed_event["cell"] == "S1|3060-Sim|baseline"
     # Post-mortem fields: configured capacity vs. live occupancy (the
@@ -281,7 +282,7 @@ def test_real_queue_saturation_sheds(fake_registry, tmp_path):
     ]))
     assert responses[0].source == "worker"
     assert isinstance(responses[1], RequestShed)
-    assert broker.stats.shed == 1
+    assert broker.stats["shed"] == 1
 
 
 def test_saturated_queue_serves_stale_with_warning(fake_registry, tmp_path,
@@ -317,8 +318,8 @@ def test_saturated_queue_serves_stale_with_warning(fake_registry, tmp_path,
     assert stale.stale is True
     assert stale.warning and "stale" in stale.warning
     assert stale.result.to_dict() == fresh.result.to_dict()
-    assert broker.stats.degraded == 1
-    assert broker.stats.shed == 0
+    assert broker.stats["degraded"] == 1
+    assert broker.stats["shed"] == 0
     [degrade] = events_named(obslog_sink, "svc.degrade")
     assert degrade["reason"] == "queue-full"
 
@@ -349,32 +350,81 @@ def test_degradation_can_be_disabled(fake_registry, tmp_path, monkeypatch):
     broker = Broker(jobs=1, policy=fast_policy(), degrade=False,
                     session="nodegrade")
     asyncio.run(scenario(broker))
-    assert broker.stats.shed == 1
-    assert broker.stats.degraded == 0
+    assert broker.stats["shed"] == 1
+    assert broker.stats["degraded"] == 0
 
 
 def test_deadline_expires_typed_while_queued(fake_registry, tmp_path,
                                              obslog_sink):
     """A paused broker never dispatches: the deadline expires in-queue
-    and the waiter gets the typed rejection."""
+    and the waiter gets the typed rejection.  The miss is counted once
+    whether the broker then stops without draining or resumes and
+    drains the expired entry (whose dispatcher finds it spent)."""
+    from repro.obs.metrics import MetricsRegistry
+
     serial_truth(tmp_path, ["S1"], ["baseline"])
     request = SimRequest(workload="S1", gpu="3060-Sim",
                          strategy="baseline", deadline=0.15)
 
-    async def scenario(broker):
+    async def scenario(broker, drain):
         await broker.start()
         try:
             with pytest.raises(DeadlineExceeded) as excinfo:
                 await broker.submit(request)
             assert excinfo.value.kind == "deadline"
         finally:
-            await broker.stop(drain=False)
+            await broker.stop(drain=drain)
 
-    broker = Broker(jobs=1, paused=True, policy=fast_policy(),
-                    session="deadline")
-    asyncio.run(scenario(broker))
-    assert broker.stats.deadline_misses >= 1
-    assert events_named(obslog_sink, "svc.deadline")
+    for drain in (False, True):
+        seen = len(events_named(obslog_sink, "svc.deadline"))
+        registry = MetricsRegistry()
+        broker = Broker(jobs=1, paused=True, policy=fast_policy(),
+                        session=f"deadline-{drain}", metrics=registry)
+        asyncio.run(scenario(broker, drain))
+        assert broker.stats["deadline_misses"] == 1
+        assert registry.get(
+            "repro_service_deadline_misses_total").value() == 1
+        assert len(events_named(obslog_sink, "svc.deadline")) == seen + 1
+
+
+@pytest.mark.parametrize("field", ["workload", "gpu", "strategy"])
+def test_unknown_name_is_an_invalid_outcome(fake_registry, obslog_sink,
+                                            field):
+    """An unknown workload, GPU or strategy is rejected typed at
+    admission -- to the caller, over the daemon protocol, in the
+    counters and on the request span -- instead of escaping as a
+    KeyError with nothing counted."""
+    from repro.obs.metrics import MetricsRegistry
+    from repro.service.daemon import ServiceDaemon
+
+    fields = {"workload": "S1", "gpu": "3060-Sim", "strategy": "baseline"}
+    fields[field] = "NOPE"
+    registry = MetricsRegistry()
+    broker = Broker(jobs=1, policy=fast_policy(), session="invalid",
+                    metrics=registry)
+
+    async def scenario():
+        await broker.start()
+        try:
+            with pytest.raises(InvalidRequest) as excinfo:
+                await broker.submit(SimRequest(**fields))
+            reply = await ServiceDaemon(broker)._dispatch(
+                {"op": "simulate", **fields})
+            return excinfo.value, reply
+        finally:
+            await broker.stop()
+
+    error, reply = asyncio.run(scenario())
+    assert error.kind == "invalid"
+    assert "NOPE" in str(error)
+    assert reply["status"] == "invalid"
+    assert "NOPE" in reply["error"]
+    assert broker.stats["requests"] == broker.stats["invalid"] == 2
+    assert registry.get("repro_service_invalid_total").value() == 2
+    assert len(events_named(obslog_sink, "svc.accept")) == 2
+    outcomes = [s.get("outcome")
+                for s in span_records(obslog_sink, "svc.request")]
+    assert outcomes == ["invalid", "invalid"]
 
 
 def test_sim_request_rejects_nonpositive_deadline():
@@ -531,7 +581,7 @@ def test_crash_recovers_journaled_completion_without_reexecuting(
     response = asyncio.run(scenario(broker))
     assert response.source == "journal"
     assert response.result.to_dict() == persisted.to_dict()
-    assert broker.stats.journal_recoveries == 1
+    assert broker.stats["journal_recoveries"] == 1
     assert broker.executions_for(key) == 1, \
         "recovery must happen on the first crash, not after retries"
     [recover] = events_named(obslog_sink, "svc.recover")
@@ -606,9 +656,9 @@ def test_service_load_is_bit_identical_under_chaos(fake_registry,
     stats = broker.stats
     # Duplicates collapse: every request beyond the eight unique cells
     # (plus shed retries) was answered by coalescing or the memo.
-    assert stats.coalesced + stats.memo_hits >= 990
-    assert stats.shed >= 1, "planned queue-full must shed at least once"
-    assert stats.failures >= 2, "crash and hang faults must be seen"
+    assert stats["coalesced"] + stats["memo_hits"] >= 990
+    assert stats["shed"] >= 1, "planned queue-full must shed at least once"
+    assert stats["failures"] >= 2, "crash and hang faults must be seen"
     # Exactly one completed execution per unique cell fans out to all
     # of its duplicates -- the coalescing invariant under chaos.
     finishes = events_named(obslog_sink, "svc.finish")
@@ -621,9 +671,9 @@ def test_service_load_is_bit_identical_under_chaos(fake_registry,
     # onto an in-flight execution, memo-answered, or shed (and later
     # retried).  In-process degradation is an *execution* outcome of an
     # admitted entry, so it does not appear in this sum.
-    assert stats.requests == (stats.admitted + stats.coalesced
-                              + stats.memo_hits + stats.shed)
-    assert stats.admitted == len(cells)
+    assert stats["requests"] == (stats["admitted"] + stats["coalesced"]
+                              + stats["memo_hits"] + stats["shed"])
+    assert stats["admitted"] == len(cells)
 
 
 # --------------------------------------------------------------------- #
@@ -666,11 +716,11 @@ def test_sigterm_drains_inflight_coalesced_waiters(fake_registry,
         # All five must be in flight (one admission, four coalesced)
         # before the signal lands, so the drain has real waiters.
         for _ in range(500):
-            if broker.stats.admitted + broker.stats.coalesced >= 5:
+            if broker.stats["admitted"] + broker.stats["coalesced"] >= 5:
                 break
             await asyncio.sleep(0.01)
-        assert broker.stats.admitted == 1
-        assert broker.stats.coalesced == 4
+        assert broker.stats["admitted"] == 1
+        assert broker.stats["coalesced"] == 4
         # run() must have hooked SIGTERM; the default action would kill
         # the test process instead of draining the daemon.
         assert signal.getsignal(signal.SIGTERM) not in (
@@ -697,9 +747,52 @@ def test_sigterm_drains_inflight_coalesced_waiters(fake_registry,
     assert all(reply["result"] == expected for reply in replies)
     assert sorted(reply["coalesced"] for reply in replies) \
         == [False, True, True, True, True]
-    assert broker.stats.executions == 1
+    assert broker.stats["executions"] == 1
     assert not socket_path.exists(), "drained daemon removes its socket"
     assert events_named(obslog_sink, "svc.shutdown")
+
+
+def test_daemon_answers_oversized_line_typed(tmp_path):
+    """A request line over the stream limit gets a typed ``bad request``
+    reply and a clean close -- not a silent hang-up and an unhandled
+    exception on the loop -- and the daemon keeps serving."""
+    import json
+
+    from repro.obs.metrics import MetricsRegistry
+    from repro.service.daemon import ServiceDaemon, call
+
+    socket_path = tmp_path / "svc-big.sock"
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        unhandled = []
+        loop.set_exception_handler(lambda _, context: unhandled.append(context))
+        daemon = ServiceDaemon(
+            Broker(jobs=1, session="oversize", metrics=MetricsRegistry()),
+            socket_path=socket_path,
+        )
+        ready = asyncio.Event()
+        run_task = asyncio.create_task(daemon.run(ready))
+        await asyncio.wait_for(ready.wait(), timeout=10)
+        reader, writer = await asyncio.open_unix_connection(str(socket_path))
+        writer.write(b"x" * 70_000 + b"\n")
+        await writer.drain()
+        reply = await asyncio.wait_for(reader.readline(), timeout=30)
+        rest = await asyncio.wait_for(reader.read(), timeout=30)
+        writer.close()
+        status = await loop.run_in_executor(
+            None, call, {"op": "status"}, socket_path)
+        daemon.request_shutdown()
+        await asyncio.wait_for(run_task, timeout=60)
+        return json.loads(reply), rest, status, unhandled
+
+    reply, rest, status, unhandled = asyncio.run(scenario())
+    assert reply["status"] == "error"
+    assert reply["error"].startswith("bad request: ")
+    assert rest == b"", "the connection closes after the reply"
+    assert status["status"] == "ok"
+    assert status["snapshot"]["stats"]["requests"] == 0
+    assert not unhandled, unhandled
 
 
 # --------------------------------------------------------------------- #
@@ -959,10 +1052,10 @@ def test_metrics_registry_counts_admission_outcomes(fake_registry,
 
     stats = broker.stats
     counter = lambda name, **labels: registry.get(name).value(**labels)
-    assert counter("repro_service_requests_total") == stats.requests == 6
-    assert counter("repro_service_shed_total") == stats.shed == 1
-    assert counter("repro_service_coalesced_total") == stats.coalesced
-    assert counter("repro_service_admitted_total") == stats.admitted == 1
+    assert counter("repro_service_requests_total") == stats["requests"] == 6
+    assert counter("repro_service_shed_total") == stats["shed"] == 1
+    assert counter("repro_service_coalesced_total") == stats["coalesced"]
+    assert counter("repro_service_admitted_total") == stats["admitted"] == 1
     assert counter("repro_service_completed_total",
                    source="worker") == 1
     assert counter("repro_service_attempts_total", outcome="ok") == 1
@@ -1027,3 +1120,115 @@ def test_svc_events_share_one_elapsed_ms_schema(fake_registry, tmp_path,
     for field in ("queue_depth", "queue_size", "deadline_remaining",
                   "cell", "key"):
         assert field in shed
+
+
+def test_outcome_projections_agree(fake_registry, tmp_path, monkeypatch,
+                                   obslog_sink):
+    """One fault-injected session drives every service outcome -- invalid,
+    shed, coalesce, deadline, a crash recovered from the journal, retries
+    exhausted to in-process, memo, stale degrade -- and each is counted
+    the same by the status counters, the metric families, the ``svc.*``
+    events and the clients themselves."""
+    from repro.obs.metrics import MetricsRegistry
+
+    # S1's twin: the same simulation (content-addressed keys ignore the
+    # name) under another cell id, so its first arrival can be faulted
+    # into saturation after S1 has completed.
+    monkeypatch.setitem(FAKES, "S1b", FakeWorkload("S1b", seed=13))
+    serial_truth(tmp_path, ["S1", "S2", "S3", "S4"], ["baseline"])
+    cache = diskcache.active_cache()
+    config = SIMULATED_GPUS["3060-Sim"]
+    trace = runner.get_trace("S3")
+    strategy = runner.make_strategy("baseline")
+    simulate_cell(trace, config, strategy)  # stores on disk
+    RunManifest.for_service(cache.root / "manifests", "agree").record(
+        diskcache.result_key(config, trace, strategy),
+        {"workload": "S3", "gpu": "3060-Sim", "strategy": "baseline"},
+    )
+    faults.configure(FaultPlan((
+        FaultSpec(cell="S1|3060-Sim|baseline", kind="queue-full", times=1),
+        FaultSpec(cell="S1b|3060-Sim|baseline", kind="queue-full", times=1),
+        FaultSpec(cell="S2|3060-Sim|baseline", kind="crash", times=2),
+        FaultSpec(cell="S3|3060-Sim|baseline", kind="crash", times=1),
+    )))
+
+    def request(workload, deadline=None):
+        return SimRequest(workload=workload, gpu="3060-Sim",
+                          strategy="baseline", deadline=deadline)
+
+    registry = MetricsRegistry()
+    broker = Broker(jobs=1, concurrency=1, paused=True,
+                    policy=fast_policy(attempts=2),
+                    breaker=CircuitBreaker(threshold=10),
+                    session="agree", metrics=registry)
+
+    async def scenario():
+        await broker.start()
+        try:
+            burst = [request("NOPE"), request("S1"), request("S1"),
+                     request("S1"), request("S2"), request("S3"),
+                     request("S4", deadline=0.2)]
+            tasks = [asyncio.ensure_future(broker.submit(r)) for r in burst]
+            await asyncio.sleep(0.5)  # S4's budget runs out while queued
+            broker.resume()
+            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+            outcomes.append(await broker.submit(request("S1")))
+            monkeypatch.setattr(diskcache, "engine_fingerprint",
+                                lambda: "engine-v-next")
+            outcomes.append(await broker.submit(request("S1b")))
+            return outcomes
+        finally:
+            await broker.stop()
+
+    outcomes = asyncio.run(scenario())
+    served = [o for o in outcomes if not isinstance(o, BaseException)]
+    client = {
+        "requests": len(outcomes),
+        "invalid": sum(isinstance(o, InvalidRequest) for o in outcomes),
+        "shed": sum(isinstance(o, RequestShed) for o in outcomes),
+        "deadline_misses": sum(isinstance(o, DeadlineExceeded)
+                               for o in outcomes),
+        "coalesced": sum(o.coalesced for o in served),
+        "memo_hits": sum(o.source == "memo" for o in served),
+        "journal_recoveries": sum(o.source == "journal" for o in served),
+        "degraded": sum(o.source in ("stale", "inproc") for o in served),
+        "completed": sum(o.source in ("worker", "inproc", "journal")
+                         and not o.coalesced for o in served),
+    }
+    assert client == {"requests": 9, "invalid": 1, "shed": 1,
+                      "deadline_misses": 1, "coalesced": 1, "memo_hits": 1,
+                      "journal_recoveries": 1, "degraded": 2,
+                      "completed": 3}, outcomes
+
+    def family(stat):
+        return sum(registry.get(f"repro_service_{stat}_total")
+                   .series().values())
+
+    events = {"requests": "svc.accept", "shed": "svc.shed",
+              "deadline_misses": "svc.deadline", "coalesced": "svc.coalesce",
+              "journal_recoveries": "svc.recover", "degraded": "svc.degrade",
+              "completed": "svc.finish"}
+    stats = broker.stats
+    for stat, observed in client.items():
+        assert stats[stat] == family(stat) == observed, stat
+        if stat in events:
+            assert len(events_named(obslog_sink, events[stat])) \
+                == observed, stat
+    invalid_spans = [s for s in span_records(obslog_sink, "svc.request")
+                     if s.get("outcome") == "invalid"]
+    assert len(invalid_spans) == client["invalid"]
+    # Degradation splits the same way in the family and the events.
+    reasons = sorted(e["reason"]
+                     for e in events_named(obslog_sink, "svc.degrade"))
+    assert reasons == ["queue-full", "retries-exhausted"]
+    degraded = registry.get("repro_service_degraded_total")
+    assert [degraded.value(reason=r) for r in reasons] == [1, 1]
+    # Failed attempts: S2's two crashes and S3's recovered one, counted
+    # once each as failures, crash attempts and svc.attempt events.
+    attempts = registry.get("repro_service_attempts_total")
+    assert stats["failures"] == family("failures") \
+        == attempts.value(outcome="crash") \
+        == len(events_named(obslog_sink, "svc.attempt")) == 3
+    # The svc.stop event carries the same counters.
+    [stop] = events_named(obslog_sink, "svc.stop")
+    assert {key: stop[key] for key in stats} == dict(stats)
