@@ -316,6 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "request",
         help="submit one simulation request to a running `repro serve` "
              "daemon (--op metrics/status for introspection)",
+        epilog="exit status: 0 ok, 1 failed or error reply, 2 daemon "
+               "unreachable, 3 shed, 4 deadline, 5 invalid request "
+               "(unknown workload, GPU or strategy)",
     )
     _add_workload_arg(request)
     _add_gpu_arg(request)
@@ -1209,6 +1212,8 @@ def _cmd_request(args) -> int:
         return 3
     if status == "deadline":
         return 4
+    if status == "invalid":
+        return 5
     return 1
 
 

@@ -22,7 +22,9 @@ access uses:
 
 The first two are *sound* under concurrency; the last two are what
 ARC009 flags, and ARC012 checks that all sound writers of one class
-agree on a single protocol.
+agree on a single protocol.  The protocol and class names are defined
+by the runtime sanitizer (:mod:`repro.obs.sanitize`) and imported here,
+so the static model and the journal it is diffed against share them.
 
 Attribution is an alias analysis seeded by identifier patterns
 (:attr:`~repro.lint.engine.LintConfig.resource_patterns`): an expression
@@ -48,10 +50,14 @@ from typing import TYPE_CHECKING
 
 from repro.lint import astutil
 from repro.lint.dataflow.procctx import method_call_target, receiver_classes
-from repro.lint.dataflow.symbols import (
-    ClassSymbol,
-    FunctionSymbol,
-    SymbolTable,
+from repro.lint.dataflow.symbols import FunctionSymbol, SymbolTable
+from repro.obs.sanitize import (
+    PROTOCOL_APPEND,
+    PROTOCOL_ATOMIC_RENAME,
+    PROTOCOL_BUFFERED_APPEND,
+    PROTOCOL_RAW_WRITE,
+    PROTOCOL_TEMP,
+    SOUND_PROTOCOLS,
 )
 
 if TYPE_CHECKING:
@@ -68,15 +74,6 @@ __all__ = [
     "ResourceModel",
     "SOUND_PROTOCOLS",
 ]
-
-PROTOCOL_ATOMIC_RENAME = "atomic-rename"
-PROTOCOL_APPEND = "o-append"
-PROTOCOL_TEMP = "temp-file"
-PROTOCOL_RAW_WRITE = "raw-write"
-PROTOCOL_BUFFERED_APPEND = "buffered-append"
-
-#: Write protocols safe under concurrent multi-process writers.
-SOUND_PROTOCOLS = frozenset({PROTOCOL_ATOMIC_RENAME, PROTOCOL_APPEND})
 
 #: ``os.open`` flag names that make the descriptor writable.
 _WRITE_FLAGS = frozenset({"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC"})

@@ -273,9 +273,11 @@ class Broker:
                       req_span: Span) -> ServiceResponse:
         admitted_at = self._clock()
         try:
+            # Cheap name lookups first: an invalid request must not pay
+            # for a trace capture.
             config = runner._gpu_by_name(request.gpu)
-            trace = runner.get_trace(request.workload)
             strategy = runner.make_strategy(request.strategy)
+            trace = runner.get_trace(request.workload)
         except (KeyError, TypeError) as exc:
             cell = faults.cell_id(request.workload,
                                   getattr(request.gpu, "name", request.gpu),

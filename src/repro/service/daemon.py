@@ -28,10 +28,12 @@ session-scoped ``REPRO_TRACE`` root rides that path.
 
 A unix socket (not TCP) keeps the trust boundary at filesystem
 permissions, and line-delimited JSON keeps the protocol debuggable with
-``nc -U``.  With ``REPRO_SANITIZE=1`` the daemon installs the runtime
-sanitizers like the test harness does: :mod:`repro.experiments.iosan`
-cross-checks the ARC009-012 write-protocol model and
-:mod:`repro.service.loopsan` the ARC013 coroutine-blocking model.
+``nc -U``.  With ``REPRO_SANITIZE=1`` and ``REPRO_SANITIZE_LOG=<path>``
+the daemon installs the runtime sanitizer (:mod:`repro.obs.sanitize`)
+like the test harness does and arms the loop's slow-callback check:
+one journal then records its shared-file writes, cross-checked against
+the ARC009-012 write-protocol model, and its loop-thread blocking
+calls, cross-checked against the ARC013 coroutine-blocking model.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ import socket
 import tempfile
 from pathlib import Path
 
-from repro.experiments import iosan
-from repro.service import loopsan
+from repro.obs import sanitize
 from repro.service.broker import Broker
 from repro.service.request import ServiceError, SimRequest
 
@@ -75,11 +76,8 @@ class ServiceDaemon:
 
     async def run(self, ready: "asyncio.Event | None" = None) -> None:
         """Start the broker, listen, and block until a shutdown op."""
-        # iosan first, loopsan over it: both then observe one call, and
-        # loopsan's pristine-at-import log writer bypasses both shims.
-        iosan.maybe_install()
-        if loopsan.maybe_install():
-            loopsan.arm_loop(asyncio.get_running_loop())
+        if sanitize.maybe_install():
+            sanitize.arm_loop(asyncio.get_running_loop())
         await self.broker.start()
         self._stopping = asyncio.Event()
         self.socket_path.parent.mkdir(parents=True, exist_ok=True)

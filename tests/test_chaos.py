@@ -41,6 +41,8 @@ from repro.experiments.resilience import (
 )
 from repro.experiments.runner import clear_caches, run_matrix
 from repro.gpu import SIMULATED_GPUS
+from repro.obs import sanitize
+from repro.obslog import read_events
 from repro.trace import coalesced_trace, scattered_trace
 
 WORKLOADS = ["P1", "P2"]
@@ -447,50 +449,33 @@ def test_cell_spec_identity_matches_fault_addressing(fake_registry):
 # --------------------------------------------------------------------- #
 
 
-def _static_write_model():
+def _static_write_model(ctx):
     """(resource, protocol) pairs the lint escape analysis derives for
     the shipped tree -- the model ARC009/ARC012 reason about."""
-    from pathlib import Path
-
-    import repro
-    from repro.lint.engine import (
-        LintConfig,
-        LintContext,
-        collect_files,
-        parse_module,
-    )
     from repro.lint.rules.concurrency import _analyses
 
-    root = Path(repro.__file__).parent
-    modules = []
-    for path, file_root in collect_files([root]):
-        module, error = parse_module(path, file_root)
-        if error is None:
-            modules.append(module)
-    _, _, resources = _analyses(LintContext(LintConfig(), modules))
+    _, _, resources = _analyses(ctx)
     return {(a.resource, a.protocol) for a in resources.writes()}
 
 
 def test_iosan_observations_match_static_model(fake_registry, tmp_path,
-                                               monkeypatch):
-    """The REPRO_SANITIZE I/O shim records every shared-file access a
+                                               monkeypatch, real_tree_ctx):
+    """The REPRO_SANITIZE journal records every shared-file access a
     faulted parallel run performs, across parent and spawned workers;
     folding those observations into (resource, protocol) pairs must
     reproduce the static model exactly.  An unmodeled runtime writer
     (analysis unsoundness) or a modeled-but-never-exercised protocol
     both fail here."""
-    from repro.experiments import iosan
-
     serial_baseline(tmp_path)
-    log_path = tmp_path / "iosan.jsonl"
+    log_path = tmp_path / "sanitize.jsonl"
     obslog_path = tmp_path / "obslog.jsonl"
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
-    monkeypatch.setenv(iosan.IOSAN_LOG_ENV, str(log_path))
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV, str(log_path))
     monkeypatch.setenv("REPRO_OBSLOG", str(obslog_path))
     faults.configure(FaultPlan((
         FaultSpec(cell=CORRUPT_CELL, kind="corrupt-cache", times=3),
     )))
-    assert iosan.maybe_install(), "shim must arm when both env vars set"
+    assert sanitize.maybe_install(), "shim must arm when both env vars set"
     try:
         run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
                             policy=chaos_policy())
@@ -500,21 +485,21 @@ def test_iosan_observations_match_static_model(fake_registry, tmp_path,
         clear_caches()
         warm = run_matrix(WORKLOADS, STRATEGIES, GPUS)
     finally:
-        iosan.uninstall()
-    assert not iosan.installed()
+        sanitize.uninstall()
+    assert not sanitize.installed()
     assert len(warm) == N_CELLS
 
     cache = diskcache.active_cache()
     assert cache.stats.quarantined == 1
-    events = iosan.read_log(log_path)
+    events = read_events(log_path)
     assert events, "armed shim must record I/O"
     assert len({event["pid"] for event in events}) >= 2, \
         "spawned workers must install their own shim via _worker_init"
 
-    observed = iosan.observed_protocols(
+    observed = sanitize.observed_protocols(
         events, cache.root, str(obslog_path)
     )
-    static = _static_write_model()
+    static = _static_write_model(real_tree_ctx)
     unexplained = observed - static
     assert not unexplained, (
         "runtime writes the static process-safety model does not "
@@ -523,7 +508,7 @@ def test_iosan_observations_match_static_model(fake_registry, tmp_path,
     # The injected torn write is the one unsound protocol in the model
     # (the suppressed ARC009 in faults.corrupt_entry) -- the shim must
     # see it happen for real.
-    assert ("cache-results", iosan.PROTOCOL_RAW_WRITE) in observed
+    assert ("cache-results", sanitize.PROTOCOL_RAW_WRITE) in observed
     # And the faulted run + quarantining rerun exercise every modeled
     # writer, so observed and static coincide exactly.
     assert observed == static
@@ -534,25 +519,23 @@ def test_iosan_clean_run_uses_only_sound_protocols(fake_registry, tmp_path,
     """Without fault injection, every recorded shared-file write follows
     a sound protocol: the raw-write pair is the fault injector's doing,
     not the production stack's."""
-    from repro.experiments import iosan
-
     serial_baseline(tmp_path)
-    log_path = tmp_path / "iosan.jsonl"
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
-    monkeypatch.setenv(iosan.IOSAN_LOG_ENV, str(log_path))
-    assert iosan.maybe_install()
+    log_path = tmp_path / "sanitize.jsonl"
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV, str(log_path))
+    assert sanitize.maybe_install()
     try:
         run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
                             policy=chaos_policy())
     finally:
-        iosan.uninstall()
+        sanitize.uninstall()
 
     cache = diskcache.active_cache()
-    observed = iosan.observed_protocols(
-        iosan.read_log(log_path), cache.root
+    observed = sanitize.observed_protocols(
+        read_events(log_path), cache.root
     )
-    sound = {iosan.PROTOCOL_ATOMIC_RENAME, iosan.PROTOCOL_APPEND}
+    sound = {sanitize.PROTOCOL_ATOMIC_RENAME, sanitize.PROTOCOL_APPEND}
     unsound = {pair for pair in observed if pair[1] not in sound}
     assert not unsound, f"clean run performed unsound writes: {unsound}"
-    assert ("cache-results", iosan.PROTOCOL_ATOMIC_RENAME) in observed
-    assert ("manifest", iosan.PROTOCOL_APPEND) in observed
+    assert ("cache-results", sanitize.PROTOCOL_ATOMIC_RENAME) in observed
+    assert ("manifest", sanitize.PROTOCOL_APPEND) in observed

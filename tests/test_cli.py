@@ -779,6 +779,10 @@ def test_request_metrics_formats_from_live_daemon(capsys, tmp_path,
                      "--op", "status"]) == 0
         status = json.loads(capsys.readouterr().out)
         assert status["stats"]["requests"] == 0
+
+        # --strategy has no argparse choices: the daemon rejects it.
+        assert main(["request", "--socket", str(socket_path),
+                     "--strategy", "no-such-strategy"]) == 5
     finally:
         loop_holder["loop"].call_soon_threadsafe(daemon.request_shutdown)
         thread.join(timeout=30)

@@ -1,10 +1,12 @@
-"""Unit tests for the REPRO_SANITIZE I/O interposition shim.
+"""Unit tests for the write records of the REPRO_SANITIZE runtime
+sanitizer (:mod:`repro.obs.sanitize`).
 
 The end-to-end cross-check against the static process-safety model
-lives in ``tests/test_chaos.py``; these tests cover the shim's own
+lives in ``tests/test_chaos.py``, and the loop-thread records are
+covered by ``tests/test_loopsan.py``; these tests cover the shim's own
 contract -- arming conditions, install/uninstall hygiene, what each
-traced primitive records, and how a recorded stream folds back into
-(resource class, protocol) observations.
+traced primitive records off the loop thread, and how a journal folds
+back into (resource class, protocol) observations.
 """
 
 from __future__ import annotations
@@ -13,24 +15,26 @@ import builtins
 import io
 import json
 import os
+import time
 
 import pytest
 
-from repro.experiments import iosan
+from repro.obs import sanitize
+from repro.obslog import read_events
 
 
 @pytest.fixture(autouse=True)
 def pristine_shim():
     """Every test starts and ends with the real primitives installed."""
-    iosan.uninstall()
+    sanitize.uninstall()
     yield
-    iosan.uninstall()
+    sanitize.uninstall()
 
 
 def arm(monkeypatch, tmp_path):
-    log = tmp_path / "iosan.jsonl"
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
-    monkeypatch.setenv(iosan.IOSAN_LOG_ENV, str(log))
+    log = tmp_path / "sanitize.jsonl"
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV, str(log))
     return log
 
 
@@ -40,43 +44,44 @@ def arm(monkeypatch, tmp_path):
 
 
 def test_enabled_requires_both_env_vars(monkeypatch, tmp_path):
-    monkeypatch.delenv(iosan.SANITIZE_ENV, raising=False)
-    monkeypatch.delenv(iosan.IOSAN_LOG_ENV, raising=False)
-    assert not iosan.enabled()
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
-    assert not iosan.enabled(), "no log path, nowhere to record"
-    monkeypatch.setenv(iosan.IOSAN_LOG_ENV, str(tmp_path / "log.jsonl"))
-    assert iosan.enabled()
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "0")
-    assert not iosan.enabled(), "REPRO_SANITIZE=0 means off"
+    monkeypatch.delenv(sanitize.SANITIZE_ENV, raising=False)
+    monkeypatch.delenv(sanitize.SANITIZE_LOG_ENV, raising=False)
+    assert not sanitize.enabled()
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    assert not sanitize.enabled(), "no log path, nowhere to record"
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV,
+                       str(tmp_path / "log.jsonl"))
+    assert sanitize.enabled()
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "0")
+    assert not sanitize.enabled(), "REPRO_SANITIZE=0 means off"
 
 
 def test_maybe_install_noop_when_disabled(monkeypatch):
-    monkeypatch.delenv(iosan.SANITIZE_ENV, raising=False)
-    monkeypatch.delenv(iosan.IOSAN_LOG_ENV, raising=False)
-    assert not iosan.maybe_install()
-    assert not iosan.installed()
-    assert builtins.open is iosan._real_open
+    pristine_open = builtins.open
+    monkeypatch.delenv(sanitize.SANITIZE_ENV, raising=False)
+    monkeypatch.delenv(sanitize.SANITIZE_LOG_ENV, raising=False)
+    assert not sanitize.maybe_install()
+    assert not sanitize.installed()
+    assert builtins.open is pristine_open
 
 
 def test_install_uninstall_roundtrip(monkeypatch, tmp_path):
+    pristine = (builtins.open, io.open, os.open, os.replace, os.rename,
+                time.sleep)
     arm(monkeypatch, tmp_path)
-    assert iosan.maybe_install()
-    assert iosan.installed()
-    assert builtins.open is not iosan._real_open
-    assert io.open is not iosan._real_io_open
-    assert os.open is not iosan._real_os_open
+    assert sanitize.maybe_install()
+    assert sanitize.installed()
+    assert builtins.open is not pristine[0]
+    assert io.open is not pristine[1]
+    assert os.open is not pristine[2]
     # Idempotent: a second install does not double-wrap.
     traced = builtins.open
-    assert iosan.maybe_install()
+    assert sanitize.maybe_install()
     assert builtins.open is traced
-    iosan.uninstall()
-    assert not iosan.installed()
-    assert builtins.open is iosan._real_open
-    assert io.open is iosan._real_io_open
-    assert os.open is iosan._real_os_open
-    assert os.replace is iosan._real_os_replace
-    assert os.rename is iosan._real_os_rename
+    sanitize.uninstall()
+    assert not sanitize.installed()
+    assert (builtins.open, io.open, os.open, os.replace, os.rename,
+            time.sleep) == pristine
 
 
 # --------------------------------------------------------------------- #
@@ -88,7 +93,7 @@ def test_traced_primitives_record_their_protocols(monkeypatch, tmp_path):
     log = arm(monkeypatch, tmp_path)
     target = tmp_path / "data.txt"
     moved = tmp_path / "data-final.txt"
-    iosan.maybe_install()
+    sanitize.maybe_install()
     try:
         with open(target, "w") as handle:
             handle.write("x")
@@ -102,9 +107,9 @@ def test_traced_primitives_record_their_protocols(monkeypatch, tmp_path):
         with open(moved) as handle:
             handle.read()
     finally:
-        iosan.uninstall()
+        sanitize.uninstall()
 
-    events = iosan.read_log(log)
+    events = read_events(log)
     by_op = {}
     for event in events:
         by_op.setdefault(event["op"], []).append(event)
@@ -120,29 +125,52 @@ def test_traced_primitives_record_their_protocols(monkeypatch, tmp_path):
     assert replace["path"] == str(moved)
     assert replace["src"] == str(target)
     assert all(e["pid"] == os.getpid() for e in events)
+    # Off the loop thread a record carries no loop-stall fields.
+    assert not any("frame" in e or "duration_ms" in e for e in events)
+
+
+def test_off_loop_record_precedes_the_call(monkeypatch, tmp_path):
+    """Off the loop the record lands before the primitive runs, so a
+    call that never returns (a killed or hung worker) still leaves it."""
+    log = arm(monkeypatch, tmp_path)
+    missing = tmp_path / "missing.txt"
+    sanitize.maybe_install()
+    try:
+        with pytest.raises(FileNotFoundError):
+            open(missing)
+    finally:
+        sanitize.uninstall()
+    [record] = read_events(log)
+    assert record["path"] == str(missing) and record["mode"] == "r"
 
 
 def test_recording_survives_unwritable_log(monkeypatch, tmp_path):
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
     monkeypatch.setenv(
-        iosan.IOSAN_LOG_ENV, str(tmp_path / "no-such-dir" / "log.jsonl")
+        sanitize.SANITIZE_LOG_ENV,
+        str(tmp_path / "no-such-dir" / "log.jsonl"),
     )
-    iosan.maybe_install()
+    sanitize.maybe_install()
     try:
         (tmp_path / "out.txt").write_text("x")  # must not raise
     finally:
-        iosan.uninstall()
+        sanitize.uninstall()
 
 
 def test_read_log_tolerates_torn_and_missing(tmp_path):
-    assert iosan.read_log(tmp_path / "absent.jsonl") == []
+    assert read_events(tmp_path / "absent.jsonl") == []
     log = tmp_path / "torn.jsonl"
+    first = json.dumps({"op": "open", "path": "a", "mode": "w"}) + "\n"
     log.write_text(
-        json.dumps({"op": "open", "path": "a", "mode": "w"}) + "\n"
-        + '{"op": "open", "path": "b", "mo'  # torn mid-record
+        first + '{"op": "open", "path": "b", "mo'  # torn mid-record
     )
-    events = iosan.read_log(log)
-    assert [e["path"] for e in events] == ["a"]
+    assert [e["path"] for e in read_events(log)] == ["a"]
+    # A torn tail that happens to parse is still torn: every record is
+    # one write ending in its newline.
+    log.write_text(
+        first + json.dumps({"op": "open", "path": "c", "mode": "w"})
+    )
+    assert [e["path"] for e in read_events(log)] == ["a"]
 
 
 # --------------------------------------------------------------------- #
@@ -155,7 +183,7 @@ def test_classify_path_mirrors_static_pattern_table(tmp_path):
     obslog = str(tmp_path / "events.jsonl")
 
     def classify(path):
-        return iosan.classify_path(str(path), root, obslog)
+        return sanitize.classify_path(str(path), root, obslog)
 
     assert classify(root / "results" / "ab" / "abc123.json") \
         == "cache-results"
@@ -167,8 +195,8 @@ def test_classify_path_mirrors_static_pattern_table(tmp_path):
     assert classify(root / "results" / "ab" / ".abc123-x7.tmp") is None
     assert classify(tmp_path / "elsewhere.txt") is None
     assert classify(root) is None
-    assert iosan.classify_path(str(root / "results" / "x.json"),
-                               None, None) is None
+    assert sanitize.classify_path(str(root / "results" / "x.json"),
+                                  None, None) is None
 
 
 def test_observed_protocols_folds_and_excludes_temps(tmp_path):
@@ -194,12 +222,12 @@ def test_observed_protocols_folds_and_excludes_temps(tmp_path):
         # Writes outside the modeled roots fold to nothing.
         {"op": "open", "path": str(tmp_path / "scratch.txt"), "mode": "w"},
     ]
-    observed = iosan.observed_protocols(events, root, obslog)
+    observed = sanitize.observed_protocols(events, root, obslog)
     assert observed == {
-        ("cache-results", iosan.PROTOCOL_ATOMIC_RENAME),
-        ("cache-results", iosan.PROTOCOL_RAW_WRITE),
-        ("manifest", iosan.PROTOCOL_APPEND),
-        ("obslog", iosan.PROTOCOL_APPEND),
+        ("cache-results", sanitize.PROTOCOL_ATOMIC_RENAME),
+        ("cache-results", sanitize.PROTOCOL_RAW_WRITE),
+        ("manifest", sanitize.PROTOCOL_APPEND),
+        ("obslog", sanitize.PROTOCOL_APPEND),
     }
 
 
@@ -218,6 +246,6 @@ def test_worker_init_installs_shim_when_armed(monkeypatch, tmp_path):
     monkeypatch.setattr(faults, "_in_worker", faults._in_worker)
     parallel._worker_init(spool, None, False)
     try:
-        assert iosan.installed()
+        assert sanitize.installed()
     finally:
-        iosan.uninstall()
+        sanitize.uninstall()

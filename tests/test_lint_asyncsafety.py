@@ -9,8 +9,8 @@ broke rather than to whichever rule noticed first.
 
 The real-tree expectations double as the static half of the
 ``REPRO_SANITIZE`` loop-stall cross-check: ``tests/test_loopsan.py``
-asserts the blocking frames the runtime shim observes are a subset of
-the model pinned here.
+asserts the blocking frames the runtime sanitizer's journal records are
+a subset of the model pinned here.
 """
 
 from __future__ import annotations
@@ -170,23 +170,12 @@ def _write_tree(root: Path, files: dict) -> Path:
 
 
 # --------------------------------------------------------------------- #
-# Real-tree expectations: the static model loopsan cross-checks
+# Real-tree expectations: the static model the sanitizer cross-checks
 # --------------------------------------------------------------------- #
 
 
-def real_tree_ctx() -> LintContext:
-    root = Path(repro.__file__).parent
-    modules = []
-    for path, file_root in collect_files([root]):
-        module, error = parse_module(path, file_root)
-        if error is None:
-            modules.append(module)
-    return LintContext(LintConfig(), modules)
-
-
-def test_real_tree_contexts():
-    ctx = real_tree_ctx()
-    _, contexts = _analyses(ctx)
+def test_real_tree_contexts(real_tree_ctx):
+    _, contexts = _analyses(real_tree_ctx)
 
     assert contexts.context_of("repro.service.broker.Broker.submit") \
         == CORO
@@ -201,16 +190,15 @@ def test_real_tree_contexts():
         "repro.service.supervisor._pool_probe") == SYNC
 
 
-def test_real_tree_blocking_model():
+def test_real_tree_blocking_model(real_tree_ctx):
     """The static coroutine-blocking model of the shipped tree.
 
-    This is the model the REPRO_SANITIZE loop shim diffs runtime
-    observations against; pinning the load-bearing members here means
+    This is the model the REPRO_SANITIZE journal's loop-frame records
+    are diffed against; pinning the load-bearing members here means
     an unmodeled blocker fails *this* suite even before the chaos
     cross-check runs.
     """
-    ctx = real_tree_ctx()
-    _, contexts = _analyses(ctx)
+    _, contexts = _analyses(real_tree_ctx)
     model = contexts.blocking_model()
     # Every deliberate (suppressed or allowlisted) blocker is modeled:
     expected = {
@@ -231,14 +219,13 @@ def test_real_tree_blocking_model():
     for qname in (
         "repro.service.daemon.call",
         "repro.service.daemon.ServiceDaemon._handle",
-        "repro.service.loopsan.read_log",
+        "repro.obs.sanitize._write",
     ):
         assert qname not in model, qname
 
 
-def test_real_tree_spool_effect_originates_in_save_trace():
-    ctx = real_tree_ctx()
-    _, contexts = _analyses(ctx)
+def test_real_tree_spool_effect_originates_in_save_trace(real_tree_ctx):
+    _, contexts = _analyses(real_tree_ctx)
     effect = contexts.effects[
         "repro.service.broker.Broker._ensure_spooled"
     ]

@@ -9,14 +9,14 @@ the analysis that broke rather than to whichever rule noticed first.
 
 The real-tree expectations double as the static half of the
 ``REPRO_SANITIZE`` cross-check: ``test_chaos.py`` asserts the protocols
-the runtime I/O shim observes are a subset of the model pinned here.
+the runtime sanitizer's journal records are a subset of the model
+pinned here.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import repro
 from repro.lint.dataflow import analysis_for
 from repro.lint.dataflow.procctx import (
     BOTH,
@@ -214,19 +214,8 @@ def test_class_context_seeds_self_paths(tmp_path):
 # --------------------------------------------------------------------- #
 
 
-def real_tree_ctx() -> LintContext:
-    root = Path(repro.__file__).parent
-    modules = []
-    for path, file_root in collect_files([root]):
-        module, error = parse_module(path, file_root)
-        if error is None:
-            modules.append(module)
-    return LintContext(LintConfig(), modules)
-
-
-def test_real_tree_contexts():
-    ctx = real_tree_ctx()
-    _, contexts, _ = _analyses(ctx)
+def test_real_tree_contexts(real_tree_ctx):
+    _, contexts, _ = _analyses(real_tree_ctx)
 
     def ctx_of(qname):
         return contexts.context_of(f"repro.experiments.{qname}")
@@ -244,15 +233,14 @@ def test_real_tree_contexts():
     assert ctx_of("diskcache.configure") == BOTH
 
 
-def test_real_tree_protocol_model():
+def test_real_tree_protocol_model(real_tree_ctx):
     """The static (resource -> protocols) model of the shipped tree.
 
-    This is the model the REPRO_SANITIZE I/O shim diffs runtime
-    observations against; pinning it here means an unmodeled writer
+    This is the model the REPRO_SANITIZE journal's write records are
+    diffed against; pinning it here means an unmodeled writer
     fails *this* suite even before the chaos cross-check runs.
     """
-    ctx = real_tree_ctx()
-    _, _, resources = _analyses(ctx)
+    _, _, resources = _analyses(real_tree_ctx)
     model = {
         resource: set(protocols)
         for resource, protocols in resources.protocol_model().items()
@@ -273,19 +261,3 @@ def test_real_tree_protocol_model():
             for a in unsound] == [
         ("experiments/faults.py", "corrupt_entry"),
     ]
-
-
-def test_iosan_protocol_names_match_static_model():
-    """The runtime shim's protocol vocabulary equals the lint layer's.
-
-    iosan deliberately duplicates the strings (experiments must not
-    import repro.lint); this pin keeps the two from drifting apart.
-    """
-    from repro.experiments import iosan
-    from repro.lint.dataflow import resources as static
-
-    assert iosan.PROTOCOL_ATOMIC_RENAME == static.PROTOCOL_ATOMIC_RENAME
-    assert iosan.PROTOCOL_APPEND == static.PROTOCOL_APPEND
-    assert iosan.PROTOCOL_TEMP == static.PROTOCOL_TEMP
-    assert iosan.PROTOCOL_RAW_WRITE == static.PROTOCOL_RAW_WRITE
-    assert iosan.PROTOCOL_BUFFERED_APPEND == static.PROTOCOL_BUFFERED_APPEND

@@ -1,10 +1,11 @@
-"""Runtime half of the async-safety story: the event-loop stall
-sanitizer (:mod:`repro.service.loopsan`) and its cross-check against
-the static ARC013 coroutine-blocking model.
+"""Runtime half of the async-safety story: the loop-thread records of
+the REPRO_SANITIZE runtime sanitizer (:mod:`repro.obs.sanitize`) and
+their cross-check against the static ARC013 coroutine-blocking model.
 
-Layered like the iosan suite: shim-mechanics units first (install /
-uninstall, loop-thread gating, frame attribution, callback overrun
-tracking), then the two chaos proofs the issue demands:
+Layered like the write-record suite (``tests/test_iosan.py``):
+shim-mechanics units first (install / uninstall, loop-thread gating,
+frame attribution, callback overrun tracking), then the two chaos
+proofs:
 
 * a **clean** REPRO_SANITIZE=1 service run observes no loop-thread
   blocking frame the static model does not already contain;
@@ -19,16 +20,18 @@ from __future__ import annotations
 
 import asyncio
 import builtins
+import os
 import time
 
 import pytest
 
 from repro import obslog
-from repro.experiments import faults, iosan
+from repro.experiments import faults
 from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.lint.engine import LintConfig
-from repro.service import Broker, SimRequest, loopsan
-from tests.test_lint_asyncsafety import real_tree_ctx
+from repro.obs import sanitize
+from repro.obslog import read_events
+from repro.service import Broker, SimRequest
 from tests.test_service import (
     fake_registry,  # noqa: F401  (fixture re-export)
     fast_policy,
@@ -43,18 +46,17 @@ def shim_hygiene():
     """Every test leaves the process un-shimmed and fault-free."""
     faults.configure(None)
     yield
-    loopsan.uninstall()
-    iosan.uninstall()
+    sanitize.uninstall()
     faults.configure(None)
 
 
 def arm(monkeypatch, tmp_path, slow_ms=None):
-    log_path = tmp_path / "loopsan.jsonl"
-    monkeypatch.setenv(loopsan.SANITIZE_ENV, "1")
-    monkeypatch.setenv(loopsan.LOOPSAN_LOG_ENV, str(log_path))
+    log_path = tmp_path / "sanitize.jsonl"
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV, str(log_path))
     if slow_ms is not None:
-        monkeypatch.setenv(loopsan.LOOPSAN_SLOW_MS_ENV, str(slow_ms))
-    assert loopsan.maybe_install(), "shim must arm when both env vars set"
+        monkeypatch.setattr(sanitize, "SLOW_MS", float(slow_ms))
+    assert sanitize.maybe_install(), "shim must arm when both env vars set"
     return log_path
 
 
@@ -64,62 +66,62 @@ def arm(monkeypatch, tmp_path, slow_ms=None):
 
 
 def test_shared_gate_and_spawn_carry():
-    """loopsan shares iosan's sanitize gate, and the worker-spawn env
-    carry-list forwards its knobs so child processes can arm too."""
-    assert loopsan.SANITIZE_ENV == iosan.SANITIZE_ENV
+    """The sanitizer shares the engine's ARC007 ``REPRO_SANITIZE`` gate,
+    and the worker-spawn env carry-list forwards both of its variables
+    so child processes arm into the same journal."""
+    assert sanitize.SANITIZE_ENV == "REPRO_SANITIZE"
     carried = set(LintConfig().spawn_carry_env)
-    assert loopsan.LOOPSAN_LOG_ENV in carried
-    assert loopsan.LOOPSAN_SLOW_MS_ENV in carried
+    assert sanitize.SANITIZE_ENV in carried
+    assert sanitize.SANITIZE_LOG_ENV in carried
 
 
 def test_disabled_without_env(monkeypatch):
-    monkeypatch.delenv(loopsan.SANITIZE_ENV, raising=False)
-    monkeypatch.delenv(loopsan.LOOPSAN_LOG_ENV, raising=False)
-    assert not loopsan.enabled()
-    assert not loopsan.maybe_install()
-    assert not loopsan.installed()
+    monkeypatch.delenv(sanitize.SANITIZE_ENV, raising=False)
+    monkeypatch.delenv(sanitize.SANITIZE_LOG_ENV, raising=False)
+    assert not sanitize.enabled()
+    assert not sanitize.maybe_install()
+    assert not sanitize.installed()
 
 
 def test_install_is_idempotent_and_uninstall_restores(monkeypatch,
                                                       tmp_path):
     pristine_open = builtins.open
     pristine_sleep = time.sleep
+    pristine_run = asyncio.Handle._run
     arm(monkeypatch, tmp_path)
     shimmed_open = builtins.open
     assert shimmed_open is not pristine_open
-    assert loopsan.maybe_install()  # second install is a no-op
+    assert sanitize.maybe_install()  # second install is a no-op
     assert builtins.open is shimmed_open
-    loopsan.uninstall()
-    assert not loopsan.installed()
+    sanitize.uninstall()
+    assert not sanitize.installed()
     assert builtins.open is pristine_open
     assert time.sleep is pristine_sleep
+    assert asyncio.Handle._run is pristine_run
 
 
-def test_chains_over_iosan(monkeypatch, tmp_path):
-    """Install order iosan-then-loopsan: one os.open on the loop thread
-    is observed by both sanitizers, and uninstalling in reverse order
-    restores the pristine bindings."""
-    import os as os_module
-
-    pristine_os_open = os_module.open
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
-    monkeypatch.setenv(iosan.IOSAN_LOG_ENV, str(tmp_path / "io.jsonl"))
-    assert iosan.maybe_install()
-    loop_log = arm(monkeypatch, tmp_path)
-    monkeypatch.setenv(obslog.OBSLOG_ENV, str(tmp_path / "obs.jsonl"))
+def test_loop_thread_record_carries_write_and_stall_fields(monkeypatch,
+                                                           tmp_path):
+    """One os.open on the loop thread is one journal record that both
+    folds read: the write fields (path, flags) feed the protocol model
+    and the loop fields (frame, duration, verdict) the blocking model."""
+    log_path = arm(monkeypatch, tmp_path)
+    obs_path = tmp_path / "obs.jsonl"
+    monkeypatch.setenv(obslog.OBSLOG_ENV, str(obs_path))
 
     async def scenario():
-        obslog.emit("loopsan.chain", note="one write, two observers")
+        obslog.emit("sanitize.loop", note="one write, two folds")
 
     asyncio.run(scenario())
-    loopsan.uninstall()
-    iosan.uninstall()
-    assert os_module.open is pristine_os_open
-    assert loopsan.observed_frames(loopsan.read_log(loop_log)) \
-        == {"repro.obslog.emit"}
-    io_events = iosan.read_log(tmp_path / "io.jsonl")
-    assert any(e.get("path", "").endswith("obs.jsonl")
-               for e in io_events)
+    sanitize.uninstall()
+    [record] = read_events(log_path)
+    assert record["op"] == "os.open" and record["path"] == str(obs_path)
+    assert record["flags"] & os.O_APPEND
+    assert record["frame"] == "repro.obslog.emit"
+    assert record["duration_ms"] >= 0.0 and not record["stalled"]
+    assert sanitize.observed_protocols([record], None, str(obs_path)) \
+        == {("obslog", sanitize.PROTOCOL_APPEND)}
+    assert sanitize.observed_frames([record]) == {"repro.obslog.emit"}
 
 
 def test_attributes_loop_thread_primitive_to_repro_frame(monkeypatch,
@@ -128,23 +130,31 @@ def test_attributes_loop_thread_primitive_to_repro_frame(monkeypatch,
     monkeypatch.setenv(obslog.OBSLOG_ENV, str(tmp_path / "obs.jsonl"))
 
     async def scenario():
-        obslog.emit("loopsan.unit", note="on the loop")
+        obslog.emit("sanitize.unit", note="on the loop")
 
     asyncio.run(scenario())
-    events = loopsan.read_log(log_path)
+    sanitize.uninstall()
+    events = read_events(log_path)
     assert events, "loop-thread os.open must be recorded"
-    assert loopsan.observed_frames(events) == {"repro.obslog.emit"}
+    assert sanitize.observed_frames(events) == {"repro.obslog.emit"}
     assert all(event["op"] == "os.open" for event in events)
     assert all(not event["stalled"] for event in events)
 
 
 def test_off_loop_blocking_is_not_recorded(monkeypatch, tmp_path):
-    """Worker threads and plain sync code may block freely."""
+    """Worker threads and plain sync code may block freely: off the
+    loop a write is still journaled, but with no frame and no timing,
+    and a sleep is not journaled at all."""
     log_path = arm(monkeypatch, tmp_path)
     monkeypatch.setenv(obslog.OBSLOG_ENV, str(tmp_path / "obs.jsonl"))
-    obslog.emit("loopsan.offloop", note="no loop running here")
+    obslog.emit("sanitize.offloop", note="no loop running here")
     time.sleep(0.0)
-    assert loopsan.read_log(log_path) == []
+    sanitize.uninstall()
+    events = read_events(log_path)
+    assert [event["op"] for event in events] == ["os.open"]
+    assert not any({"frame", "duration_ms", "stalled"} & set(event)
+                   for event in events)
+    assert sanitize.observed_frames(events) == set()
 
 
 def test_callback_overrun_records_without_frame(monkeypatch, tmp_path):
@@ -154,7 +164,7 @@ def test_callback_overrun_records_without_frame(monkeypatch, tmp_path):
     log_path = arm(monkeypatch, tmp_path, slow_ms=10)
 
     async def scenario():
-        loopsan.arm_loop(asyncio.get_running_loop())
+        sanitize.arm_loop(asyncio.get_running_loop())
         done = asyncio.Event()
 
         def busy():
@@ -167,25 +177,17 @@ def test_callback_overrun_records_without_frame(monkeypatch, tmp_path):
         await done.wait()
 
     asyncio.run(scenario())
-    events = loopsan.read_log(log_path)
+    sanitize.uninstall()
+    events = read_events(log_path)
     overruns = [e for e in events if e["op"] == "callback"]
     assert overruns, "10ms threshold must catch a 50ms busy callback"
     assert any("busy" in e["callback"] for e in overruns)
     assert all(e["stalled"] for e in overruns)
-    assert loopsan.observed_frames(overruns) == set()
-
-
-def test_threshold_env_overrides_default(monkeypatch):
-    monkeypatch.delenv(loopsan.LOOPSAN_SLOW_MS_ENV, raising=False)
-    assert loopsan.slow_threshold_ms() == loopsan.DEFAULT_SLOW_MS
-    monkeypatch.setenv(loopsan.LOOPSAN_SLOW_MS_ENV, "25")
-    assert loopsan.slow_threshold_ms() == 25.0
-    monkeypatch.setenv(loopsan.LOOPSAN_SLOW_MS_ENV, "not-a-number")
-    assert loopsan.slow_threshold_ms() == loopsan.DEFAULT_SLOW_MS
+    assert sanitize.observed_frames(overruns) == set()
 
 
 def test_read_log_missing_file_is_empty():
-    assert loopsan.read_log("/nonexistent/loopsan.jsonl") == []
+    assert read_events("/nonexistent/sanitize.jsonl") == []
 
 
 # --------------------------------------------------------------------- #
@@ -193,15 +195,16 @@ def test_read_log_missing_file_is_empty():
 # --------------------------------------------------------------------- #
 
 
-def _static_blocking_model() -> set:
+def _static_blocking_model(ctx) -> set:
     from repro.lint.rules.asyncsafety import _analyses
 
-    _, contexts = _analyses(real_tree_ctx())
+    _, contexts = _analyses(ctx)
     return contexts.blocking_model()
 
 
 def test_clean_service_run_blocks_only_inside_static_model(
-        fake_registry, tmp_path, monkeypatch, obslog_sink):  # noqa: F811
+        fake_registry, tmp_path, monkeypatch, obslog_sink,  # noqa: F811
+        real_tree_ctx):
     """Under REPRO_SANITIZE=1 a clean coalescing service run performs
     no loop-thread blocking call the static ARC013 model does not
     explain: every observed frame is a modeled (suppressed or
@@ -213,18 +216,18 @@ def test_clean_service_run_blocks_only_inside_static_model(
         for workload in ("S1", "S2", "S1", "S2", "S1")
     ]
     broker = Broker(jobs=2, paused=True, policy=fast_policy(),
-                    session="loopsan-clean")
+                    session="sanitize-clean")
     responses = asyncio.run(ordered_burst(broker, requests))
-    loopsan.uninstall()
+    sanitize.uninstall()
     assert all(not isinstance(r, BaseException) for r in responses)
     assert responses[0].result.to_dict() \
         == truth[("S1", "3060-Sim", "baseline")]
 
-    events = loopsan.read_log(log_path)
+    events = read_events(log_path)
     assert events, "armed shim must observe the run's loop-thread I/O"
-    observed = loopsan.observed_frames(events)
+    observed = sanitize.observed_frames(events)
     assert observed, "journal/obslog writes happen on the loop thread"
-    unexplained = observed - _static_blocking_model()
+    unexplained = observed - _static_blocking_model(real_tree_ctx)
     assert not unexplained, (
         "loop-thread blocking frames the static ARC013 model does not "
         f"explain: {sorted(unexplained)}"
@@ -232,7 +235,8 @@ def test_clean_service_run_blocks_only_inside_static_model(
 
 
 def test_injected_loop_block_fault_is_caught_by_both_layers(
-        fake_registry, tmp_path, monkeypatch, obslog_sink):  # noqa: F811
+        fake_registry, tmp_path, monkeypatch, obslog_sink,  # noqa: F811
+        real_tree_ctx):
     """A planned ``loop-block`` fault stalls the loop inside the
     admission path.  The runtime shim must attribute the stall to the
     fault hook's frame, and the static model must already contain that
@@ -240,22 +244,22 @@ def test_injected_loop_block_fault_is_caught_by_both_layers(
     inline justification at the broker call site -- is pinned in
     tests/test_lint_asyncsafety.py)."""
     serial_truth(tmp_path, ["S1"], ["baseline"])
-    log_path = arm(monkeypatch, tmp_path, slow_ms=50)
+    log_path = arm(monkeypatch, tmp_path)
     faults.configure(FaultPlan((
         FaultSpec(cell="S1|3060-Sim|baseline", kind="loop-block",
                   times=1, seconds=0.25),
     )))
     broker = Broker(jobs=1, paused=True, policy=fast_policy(),
-                    session="loopsan-fault")
+                    session="sanitize-fault")
     responses = asyncio.run(ordered_burst(broker, [
         SimRequest(workload="S1", gpu="3060-Sim", strategy="baseline"),
     ]))
-    loopsan.uninstall()
+    sanitize.uninstall()
     # The fault stalls admission; it must not corrupt the request.
     assert all(not isinstance(r, BaseException) for r in responses)
 
-    events = loopsan.read_log(log_path)
-    stalled = loopsan.stalled_frames(events)
+    events = read_events(log_path)
+    stalled = sanitize.stalled_frames(events)
     hook = "repro.experiments.faults.on_admission"
     assert hook in stalled, (
         f"runtime layer missed the injected stall: stalled={sorted(stalled)}"
@@ -263,7 +267,7 @@ def test_injected_loop_block_fault_is_caught_by_both_layers(
     sleeps = [e for e in events
               if e["op"] == "sleep" and e.get("frame") == hook]
     assert sleeps and all(e["duration_ms"] >= 200 for e in sleeps)
-    assert hook in _static_blocking_model(), (
+    assert hook in _static_blocking_model(real_tree_ctx), (
         "static layer missed the injected stall: the fault hook must be "
         "a member of the coroutine-blocking model"
     )
